@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
@@ -17,17 +16,11 @@
 #include <vector>
 
 #include "ckpt/signal.hpp"
-#include "core/checkpoint.hpp"
-#include "core/cli_flags.hpp"
-#include "core/engine.hpp"
-#include "core/experiment.hpp"
+#include "core/driver.hpp"
 #include "core/paper_params.hpp"
 #include "core/report.hpp"
 #include "obs/artifact.hpp"
 #include "obs/json.hpp"
-#include "obs/trace_export.hpp"
-#include "prof/html_report.hpp"
-#include "prof/profile.hpp"
 
 namespace greencap::bench {
 
@@ -49,25 +42,13 @@ int run_guarded(Fn&& fn) {
 struct Cli {
   bool csv = false;
   bool quick = false;  ///< coarser sweeps for smoke runs
-  /// Campaign worker threads (1 = serial, 0 = hardware concurrency). Runs
-  /// execute on isolated contexts; results and artifacts emit in config
-  /// order, so output is byte-identical at any value.
-  int jobs = 1;
-  // Observability capture for the *first* experiment a binary runs (the
-  // figures loop over dozens of configs; one representative profile is
-  // what you want for a Perfetto look at the schedule).
-  std::string trace_json;
-  std::string metrics_json;
-  std::string profile_json;
-  std::string profile_html;
-  double telemetry_period_ms = 0.0;
   /// Machine-readable per-figure summary (every table the binary emits).
   std::string summary_json;
-  // Fault-injection / resilience pass-through (docs/ROBUSTNESS.md); applied
-  // to every experiment the binary runs, unlike the one-shot capture above.
-  core::ResilienceConfig resilience;
-  // Checkpoint/restart knobs (docs/CHECKPOINTING.md); all off by default.
-  core::CheckpointOptions ckpt;
+  /// The campaign flags every driver shares. Fault injection applies to
+  /// every experiment; the trace/metrics/profile capture to the *first*
+  /// one only (the figures loop over dozens of configs; one representative
+  /// profile is what you want for a Perfetto look at the schedule).
+  core::DriverFlags flags;
 
   static Cli parse(int argc, char** argv) {
     Cli cli;
@@ -105,92 +86,31 @@ struct Cli {
     core::FlagParser parser;
     parser.flag("--csv", &cli.csv);
     parser.flag("--quick", &cli.quick);
-    parser.i32("--jobs", &cli.jobs);
-    parser.str("--trace-json", &cli.trace_json);
-    parser.str("--metrics-json", &cli.metrics_json);
-    parser.str("--profile-json", &cli.profile_json);
-    parser.str("--profile-html", &cli.profile_html);
     parser.str("--summary-json", &cli.summary_json);
-    parser.f64("--telemetry-period-ms", &cli.telemetry_period_ms);
-    parser.str("--faults", &cli.resilience.faults);
-    parser.u64("--fault-seed", &cli.resilience.fault_seed);
-    parser.f64("--reconcile-ms", &cli.resilience.reconcile_ms);
-    parser.flag("--degrade", &cli.resilience.degrade);
-    parser.i32("--cap-retries", &cli.resilience.max_cap_retries);
-    parser.str("--checkpoint", &cli.ckpt.path);
-    parser.str("--resume", &cli.ckpt.resume_path);
-    parser.f64("--checkpoint-every-ms", &cli.ckpt.every_ms);
-    parser.f64("--watchdog-ms", &cli.ckpt.watchdog_ms);
-    parser.i32("--ckpt-kill-after", &cli.ckpt.kill_after);
-    const std::string err = parser.parse(argc, argv);
+    cli.flags.register_on(parser);
+    std::string err = parser.parse(argc, argv);
+    if (err.empty()) err = cli.flags.validate();
     if (!err.empty()) {
       std::cerr << argv[0] << ": " << err << "\n";
       std::exit(2);
     }
-    if (cli.jobs < 0) {
-      std::cerr << argv[0] << ": --jobs must be >= 0\n";
-      std::exit(2);
-    }
-    if (!cli.ckpt.path.empty() || !cli.ckpt.resume_path.empty() || cli.ckpt.every_ms > 0.0 ||
-        cli.ckpt.watchdog_ms > 0.0) {
-      if (cli.jobs != 1) {
-        // A checkpoint session replays a strictly serial campaign prefix and
-        // commits each run's artifacts in order; a parallel pool cannot
-        // honor that contract, so refuse loudly instead of degrading.
-        std::cerr << argv[0]
-                  << ": --checkpoint/--resume/--checkpoint-every-ms/--watchdog-ms require "
-                     "--jobs 1 (checkpoint sessions are serial); drop --jobs or the "
-                     "checkpoint flags\n";
-        std::exit(2);
-      }
-      ckpt::install_signal_handlers();
-      cli.session_ = std::make_shared<core::CheckpointSession>(cli.ckpt);
-    }
-    core::EngineOptions eng;
-    eng.jobs = cli.jobs;
-    cli.engine_ = std::make_shared<core::CampaignEngine>(eng);
+    cli.engine_ = cli.flags.make_engine();
     return cli;
-  }
-
-  /// Runs (or, on a resume, replays) one experiment through the checkpoint
-  /// session. Without checkpoint flags this is exactly core::run_experiment.
-  /// Artifacts are exported BEFORE the boundary checkpoint commits, so a
-  /// kill at the boundary never loses them; a replayed experiment that had
-  /// already exported marks the capture consumed.
-  [[nodiscard]] core::ExperimentResult run_experiment(const core::ExperimentConfig& cfg) const {
-    if (session_ == nullptr) {
-      return core::run_experiment(cfg);
-    }
-    if (auto replayed = session_->try_replay(cfg)) {
-      if (session_->last_replay_had_observability()) {
-        captured_ = true;
-      }
-      return std::move(*replayed);
-    }
-    core::ExperimentResult result = core::run_experiment(cfg, session_.get());
-    maybe_export(result);
-    session_->commit(cfg, result);
-    return result;
   }
 
   /// Runs a whole campaign through the engine. `on_result` fires on this
   /// thread in strict config order at every --jobs value, so tables,
-  /// artifacts and stdout bytes are identical to a serial run. Checkpoint
-  /// sessions take the serial per-run path (prefix replay and
-  /// export-before-commit are order-sensitive; parse() already rejects
-  /// --checkpoint with --jobs != 1).
+  /// artifacts and stdout bytes are identical to a serial run; under
+  /// --checkpoint the engine commits each run only after this returns.
   void run_all(const std::vector<core::ExperimentConfig>& configs,
                const std::function<void(std::size_t, const core::ExperimentResult&)>& on_result)
       const {
-    if (session_ != nullptr) {
-      for (std::size_t i = 0; i < configs.size(); ++i) {
-        const core::ExperimentResult r = run_experiment(configs[i]);
-        on_result(i, r);
-      }
-      return;
-    }
     (void)engine_->run(configs, [&](std::size_t i, core::ExperimentResult& r) {
-      maybe_export(r);
+      // Only the captured config carries observability, and a replayed
+      // result never does: its artifacts were exported before the kill.
+      if (r.observability != nullptr) {
+        flags.export_artifacts(*r.observability);
+      }
       on_result(i, r);
     });
   }
@@ -199,79 +119,17 @@ struct Cli {
   /// for_each_index rather than config lists).
   [[nodiscard]] core::CampaignEngine& engine() const { return *engine_; }
 
-  [[nodiscard]] bool observability_requested() const {
-    return !trace_json.empty() || !metrics_json.empty() || !profile_json.empty() ||
-           !profile_html.empty() || telemetry_period_ms > 0.0;
-  }
-
   /// Copies the resilience knobs onto `cfg` (no-op with default knobs).
-  void apply_resilience(core::ExperimentConfig& cfg) const { cfg.resilience = resilience; }
+  void apply_resilience(core::ExperimentConfig& cfg) const { cfg.resilience = flags.resilience; }
 
-  /// apply_observability() for campaigns whose configs are all built before
-  /// any run starts: marks the capture slot consumed at build time, so
-  /// exactly one config of the batch carries it (the first call's).
-  void apply_observability_first(core::ExperimentConfig& cfg) const {
+  /// Enables the requested capture on `cfg` if no earlier call has: build
+  /// every config before running, and exactly one carries the capture.
+  void apply_observability(core::ExperimentConfig& cfg) const {
     if (obs_assigned_) {
       return;
     }
     obs_assigned_ = true;
-    apply_observability(cfg);
-  }
-
-  /// Enables capture on `cfg` if requested and not yet consumed by an
-  /// earlier experiment of this process.
-  void apply_observability(core::ExperimentConfig& cfg) const {
-    if (captured_ || !observability_requested()) {
-      return;
-    }
-    cfg.obs.trace = !trace_json.empty();
-    cfg.obs.metrics = !metrics_json.empty();
-    cfg.obs.profile = !profile_json.empty() || !profile_html.empty();
-    cfg.obs.telemetry_period_ms =
-        telemetry_period_ms > 0.0
-            ? telemetry_period_ms
-            : ((trace_json.empty() && !cfg.obs.profile) ? 0.0 : 10.0);
-  }
-
-  /// Writes the capture files the first time a result carries them. Any
-  /// failed write exits nonzero — a truncated artifact must not look like
-  /// a successful run.
-  void maybe_export(const core::ExperimentResult& result) const {
-    if (captured_ || result.observability == nullptr) {
-      return;
-    }
-    captured_ = true;
-    const core::ObservabilityData& data = *result.observability;
-    auto checked = [](const std::string& path, const char* what, auto&& writer) {
-      if (!greencap::obs::write_artifact(path, what, writer)) {
-        std::exit(1);
-      }
-      std::cerr << "wrote " << what << ": " << path << "\n";
-    };
-    if (!trace_json.empty()) {
-      checked(trace_json, "trace", [&](std::ostream& os) {
-        greencap::obs::ChromeTraceOptions opts;
-        opts.telemetry = &data.telemetry;
-        opts.worker_names = data.worker_names;
-        greencap::obs::write_chrome_trace(os, data.trace, opts);
-      });
-    }
-    if (!metrics_json.empty()) {
-      checked(metrics_json, "metrics", [&](std::ostream& os) { data.metrics.write_json(os); });
-    }
-    if (!profile_json.empty() || !profile_html.empty()) {
-      prof::AnalyzeOptions popts;
-      popts.decisions = &data.decisions;
-      popts.telemetry = &data.telemetry;
-      const prof::Profile profile = prof::analyze(data.capture, popts);
-      if (!profile_json.empty()) {
-        checked(profile_json, "profile", [&](std::ostream& os) { profile.write_json(os); });
-      }
-      if (!profile_html.empty()) {
-        checked(profile_html, "report",
-                [&](std::ostream& os) { prof::write_html_report(os, profile); });
-      }
-    }
+    cfg.obs = flags.observability();
   }
 
   /// Records one emitted table for the --summary-json export.
@@ -334,10 +192,8 @@ struct Cli {
     std::vector<std::vector<std::string>> rows;
   };
 
-  mutable bool captured_ = false;
   mutable bool obs_assigned_ = false;
   mutable std::vector<SummaryFigure> figures_;
-  std::shared_ptr<core::CheckpointSession> session_;
   std::shared_ptr<core::CampaignEngine> engine_;
 };
 

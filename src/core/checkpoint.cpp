@@ -59,7 +59,6 @@ std::optional<ExperimentResult> CheckpointSession::try_replay(const ExperimentCo
   }
   ck::Reader r{blob.result_bytes};
   ckpt_io::DecodedResult decoded = ckpt_io::decode_result(r);
-  last_replay_had_obs_ = decoded.had_observability;
   ++cursor_;
   return std::move(decoded.result);
 }

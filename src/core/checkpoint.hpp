@@ -1,7 +1,8 @@
 // Campaign-level checkpoint/restart session (docs/CHECKPOINTING.md).
 //
-// A CheckpointSession threads through an experiment driver (CLI or bench
-// harness) and gives a whole campaign crash consistency:
+// A CheckpointSession gives a whole campaign crash consistency. The
+// campaign engine owns it whenever EngineOptions::checkpoint is active
+// (core/engine.hpp); drivers never touch it directly:
 //
 //  * after every completed experiment it appends the result to its
 //    completed list and writes a *boundary* checkpoint — kill the process
@@ -15,8 +16,8 @@
 //
 //  * a SIGINT/SIGTERM latch is honoured between experiments (and at the
 //    next periodic tick inside one): a final "signal" checkpoint is
-//    written and InterruptedError unwinds to the driver, which exits with
-//    ckpt::kInterruptExitCode.
+//    written and InterruptedError unwinds through the engine to the
+//    driver, which exits with ckpt::kInterruptExitCode.
 //
 // Campaign identity: every experiment's config is stored by its canonical
 // binary encoding. On resume each replayed config must match the config
@@ -47,6 +48,11 @@ struct CheckpointOptions {
   /// Test hook (--ckpt-kill-after): _Exit(137) right after the Nth
   /// checkpoint file write completes. 0 = never.
   int kill_after = 0;
+
+  /// Whether any checkpoint/restart behaviour is requested.
+  [[nodiscard]] bool active() const {
+    return !path.empty() || !resume_path.empty() || every_ms > 0.0 || watchdog_ms > 0.0;
+  }
 };
 
 class CheckpointSession {
@@ -57,9 +63,6 @@ class CheckpointSession {
 
   [[nodiscard]] const CheckpointOptions& options() const { return options_; }
   [[nodiscard]] bool writes_enabled() const { return !options_.path.empty(); }
-  [[nodiscard]] bool mid_run_enabled() const {
-    return writes_enabled() && (options_.every_ms > 0.0 || options_.watchdog_ms > 0.0);
-  }
 
   /// True while completed experiments from the resume file remain unreplayed.
   [[nodiscard]] bool next_is_replay() const { return cursor_ < completed_.size(); }
@@ -70,13 +73,10 @@ class CheckpointSession {
   /// interrupt latch.
   [[nodiscard]] std::optional<ExperimentResult> try_replay(const ExperimentConfig& config);
 
-  /// Whether the experiment returned by the last try_replay() had already
-  /// exported its observability artifacts before the kill.
-  [[nodiscard]] bool last_replay_had_observability() const { return last_replay_had_obs_; }
-
   /// Appends a freshly executed result and writes the boundary checkpoint.
-  /// Drivers must export the result's artifacts BEFORE calling commit():
-  /// once the boundary write lands, a resume will not re-export them.
+  /// The result's artifacts must be exported BEFORE commit() (the engine
+  /// commits after its on_result hook): once the boundary write lands, a
+  /// resume will not re-export them.
   void commit(const ExperimentConfig& config, const ExperimentResult& result);
 
   /// Between-experiment interrupt point: if SIGINT/SIGTERM was latched,
@@ -113,7 +113,6 @@ class CheckpointSession {
   CheckpointOptions options_;
   std::vector<CompletedBlob> completed_;
   std::size_t cursor_ = 0;
-  bool last_replay_had_obs_ = false;
   std::string pending_run_config_;
   std::string pending_run_state_;  ///< encoded RunState; empty = none
   int writes_ = 0;
@@ -125,5 +124,10 @@ class CheckpointSession {
 /// exactly the plain run_experiment().
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config,
                                               CheckpointSession* session);
+
+/// Same, with injected run-scoped services (the campaign engine's cache).
+[[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config,
+                                              CheckpointSession* session,
+                                              const RunServices& services);
 
 }  // namespace greencap::core

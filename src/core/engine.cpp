@@ -5,6 +5,8 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -21,7 +23,15 @@ int resolve_jobs(int jobs) {
 }
 
 CampaignEngine::CampaignEngine(EngineOptions options)
-    : options_{std::move(options)}, jobs_{resolve_jobs(options_.jobs)} {}
+    : options_{std::move(options)}, jobs_{resolve_jobs(options_.jobs)} {
+  if (options_.checkpoint.active()) {
+    if (options_.jobs != 1) {
+      throw std::invalid_argument{
+          "CampaignEngine: checkpointing requires jobs == 1 (checkpoint sessions are serial)"};
+    }
+    session_ = std::make_unique<CheckpointSession>(options_.checkpoint);
+  }
+}
 
 std::vector<ExperimentResult> CampaignEngine::run(const std::vector<ExperimentConfig>& configs,
                                                   const ResultHook& on_result) {
@@ -35,11 +45,25 @@ std::vector<ExperimentResult> CampaignEngine::run(const std::vector<ExperimentCo
 
   const int jobs = std::min<int>(jobs_, static_cast<int>(std::max<std::size_t>(n, 1)));
   if (jobs <= 1) {
+    // With a session: replayed results skip the run and the commit (their
+    // boundary write already landed), fresh ones commit only after
+    // on_result exported their artifacts, so a resume never re-exports.
     for (std::size_t i = 0; i < n; ++i) {
-      results[i] = run_experiment(configs[i], services);
+      std::optional<ExperimentResult> replayed;
+      if (session_ != nullptr) {
+        replayed = session_->try_replay(configs[i]);
+      }
+      results[i] = replayed ? std::move(*replayed)
+                            : run_experiment(configs[i], session_.get(), services);
       if (on_result) {
         on_result(i, results[i]);
       }
+      if (session_ != nullptr && !replayed) {
+        session_->commit(configs[i], results[i]);
+      }
+    }
+    if (session_ != nullptr) {
+      session_->check_interrupt();
     }
     return results;
   }

@@ -14,16 +14,22 @@
 //     artifact and stdout emission therefore order identically at any
 //     --jobs value.
 //
-// Checkpoint sessions are inherently serial (prefix replay + export-before-
-// commit); drivers must keep --checkpoint campaigns at jobs == 1. The CLI
-// layer diagnoses the combination rather than silently degrading.
+// With EngineOptions::checkpoint active the engine also runs the campaign's
+// checkpoint protocol (docs/CHECKPOINTING.md) through a CheckpointSession
+// it owns: replay the resume file's completed prefix, run the rest, fire
+// on_result (where drivers export artifacts), THEN commit the boundary
+// checkpoint, and honour the interrupt latch after the last run. That
+// protocol is inherently serial, so the constructor rejects checkpointing
+// at jobs != 1 rather than silently degrading.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/calibration_cache.hpp"
+#include "core/checkpoint.hpp"
 #include "core/experiment.hpp"
 #include "sim/log.hpp"
 
@@ -36,6 +42,9 @@ struct EngineOptions {
   /// thread-safe at jobs > 1; the default stderr sink is.
   sim::LogLevel log_level = sim::LogLevel::kWarn;
   sim::Logger::Sink log_sink;
+  /// Checkpoint/restart of the whole campaign; requires jobs == 1 when
+  /// active(). Signal handlers are the driver's business, not the engine's.
+  CheckpointOptions checkpoint;
 };
 
 /// --jobs semantics: 0 → hardware concurrency (at least 1), n → n.
@@ -43,6 +52,8 @@ struct EngineOptions {
 
 class CampaignEngine {
  public:
+  /// Throws std::invalid_argument for checkpointing at jobs != 1, and
+  /// ckpt::CheckpointError for an unreadable resume file.
   explicit CampaignEngine(EngineOptions options = {});
 
   CampaignEngine(const CampaignEngine&) = delete;
@@ -55,7 +66,8 @@ class CampaignEngine {
   /// Executes every config and returns the results in input order. If any
   /// run throws, workers stop claiming new indices, in-flight runs drain,
   /// and the lowest-index exception is rethrown (matching which failure a
-  /// serial campaign would have surfaced first).
+  /// serial campaign would have surfaced first). With checkpointing, a
+  /// latched SIGINT/SIGTERM surfaces as ckpt::InterruptedError.
   std::vector<ExperimentResult> run(const std::vector<ExperimentConfig>& configs,
                                     const ResultHook& on_result = {});
 
@@ -72,6 +84,7 @@ class CampaignEngine {
   EngineOptions options_;
   int jobs_;
   CalibrationCache cache_;
+  std::unique_ptr<CheckpointSession> session_;  ///< null unless checkpointing
 };
 
 }  // namespace greencap::core

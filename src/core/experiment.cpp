@@ -304,4 +304,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config, CheckpointSessio
   return run_checked(config, session, RunServices{});
 }
 
+ExperimentResult run_experiment(const ExperimentConfig& config, CheckpointSession* session,
+                                const RunServices& services) {
+  return run_checked(config, session, services);
+}
+
 }  // namespace greencap::core

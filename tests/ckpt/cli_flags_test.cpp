@@ -1,6 +1,6 @@
 // FlagParser hardening: exact-match flags, strict numeric validation,
-// unknown-flag rejection with a nearest-flag suggestion — exercised over a
-// full flag table like the one the bench harness and greencap CLI register.
+// unknown-flag rejection with a nearest-flag suggestion — exercised over
+// the shared driver flag table the bench harness and greencap CLI register.
 #include "core/cli_flags.hpp"
 
 #include <gtest/gtest.h>
@@ -9,45 +9,31 @@
 #include <string>
 #include <vector>
 
+#include "core/driver.hpp"
+
+using greencap::core::DriverFlags;
 using greencap::core::FlagParser;
 using greencap::core::edit_distance;
 
 namespace {
 
-/// Mirrors the real drivers' registration: every value shape in use.
+/// A driver's table: a few driver-own flags plus the shared set, registered
+/// through the same DriverFlags::register_on the real drivers call.
 struct Table {
   bool csv = false;
   bool quick = false;
-  bool degrade = false;
   std::string summary_json;
-  std::string faults;
-  std::string checkpoint;
-  std::string resume;
-  double telemetry_period_ms = 0.0;
-  double checkpoint_every_ms = 0.0;
-  double watchdog_ms = 0.0;
-  std::uint64_t fault_seed = 0;
   std::int64_t n = 0;
-  int cap_retries = 3;
-  int kill_after = 0;
+  DriverFlags flags;
 
   FlagParser parser;
 
   Table() {
     parser.flag("--csv", &csv);
     parser.flag("--quick", &quick);
-    parser.flag("--degrade", &degrade);
     parser.str("--summary-json", &summary_json);
-    parser.str("--faults", &faults);
-    parser.str("--checkpoint", &checkpoint);
-    parser.str("--resume", &resume);
-    parser.f64("--telemetry-period-ms", &telemetry_period_ms);
-    parser.f64("--checkpoint-every-ms", &checkpoint_every_ms);
-    parser.f64("--watchdog-ms", &watchdog_ms);
-    parser.u64("--fault-seed", &fault_seed);
     parser.i64("--n", &n);
-    parser.i32("--cap-retries", &cap_retries);
-    parser.i32("--ckpt-kill-after", &kill_after);
+    flags.register_on(parser);
   }
 
   std::string parse(std::vector<std::string> args) {
@@ -69,11 +55,11 @@ TEST(CliFlags, SpaceAndEqualsFormsBothParse) {
   EXPECT_EQ(t.summary_json, "out.json");
   EXPECT_EQ(t.n, 4096);
   EXPECT_TRUE(t.csv);
-  EXPECT_EQ(t.telemetry_period_ms, 2.5);
-  EXPECT_EQ(t.fault_seed, 99u);
-  EXPECT_EQ(t.checkpoint, "ck.gckp");
-  EXPECT_EQ(t.checkpoint_every_ms, 40.0);
-  EXPECT_EQ(t.kill_after, 3);
+  EXPECT_EQ(t.flags.telemetry_period_ms, 2.5);
+  EXPECT_EQ(t.flags.resilience.fault_seed, 99u);
+  EXPECT_EQ(t.flags.checkpoint.path, "ck.gckp");
+  EXPECT_EQ(t.flags.checkpoint.every_ms, 40.0);
+  EXPECT_EQ(t.flags.checkpoint.kill_after, 3);
 }
 
 TEST(CliFlags, UnknownFlagIsRejectedWithSuggestion) {
@@ -167,6 +153,38 @@ TEST(CliFlags, EveryRegisteredFlagParsesItsOwnName) {
                                                 : std::vector<std::string>{typo});
     EXPECT_FALSE(err.empty()) << "typo accepted: " << typo;
   }
+}
+
+TEST(CliFlags, SharedSetRejectsNegativeJobsAndParallelCheckpointing) {
+  Table ok;
+  ASSERT_EQ(ok.parse({"--jobs", "4", "--trace-json", "t.json"}), "");
+  EXPECT_EQ(ok.flags.validate(), "");
+
+  Table negative;
+  ASSERT_EQ(negative.parse({"--jobs", "-1"}), "");
+  EXPECT_NE(negative.flags.validate().find("--jobs"), std::string::npos);
+
+  Table parallel;
+  ASSERT_EQ(parallel.parse({"--jobs", "4", "--resume", "ck.gckp"}), "");
+  EXPECT_NE(parallel.flags.validate().find("require --jobs 1"), std::string::npos)
+      << parallel.flags.validate();
+}
+
+TEST(CliFlags, ObservabilityFollowsTheRequestedOutputs) {
+  Table none;
+  ASSERT_EQ(none.parse({}), "");
+  EXPECT_FALSE(none.flags.observability().any());
+  EXPECT_EQ(none.flags.observability(true).telemetry_period_ms, 10.0);
+
+  Table profile;
+  ASSERT_EQ(profile.parse({"--profile-html", "r.html", "--metrics-json", "m.json"}), "");
+  const auto obs = profile.flags.observability();
+  EXPECT_TRUE(obs.profile && obs.metrics && !obs.trace && !obs.decision_log);
+  EXPECT_EQ(obs.telemetry_period_ms, 10.0);  // the profile needs power samples
+
+  Table period;
+  ASSERT_EQ(period.parse({"--trace-json", "t.json", "--telemetry-period-ms", "2"}), "");
+  EXPECT_EQ(period.flags.observability().telemetry_period_ms, 2.0);
 }
 
 TEST(CliFlags, SuggestFindsNearestAndIgnoresFarTokens) {

@@ -1,15 +1,24 @@
 // The parallel campaign engine: results and hooks come back in input order
 // on the calling thread at any job count, parallel campaigns reproduce the
 // serial ones bit for bit, failures surface as the serial campaign would
-// have surfaced them, and the warmup cache actually gets shared.
+// have surfaced them, the warmup cache actually gets shared, and a
+// checkpointed campaign replays, commits and honours interrupts in order.
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "ckpt/file.hpp"
+#include "ckpt/serial.hpp"
+#include "ckpt/signal.hpp"
+#include "core/checkpoint_io.hpp"
 
 namespace greencap::core {
 namespace {
@@ -170,6 +179,107 @@ TEST(Engine, EmptyCampaignIsANoOp) {
   CampaignEngine engine;
   EXPECT_TRUE(engine.run({}).empty());
   engine.for_each_index(0, [](std::size_t) { FAIL() << "no indices to visit"; });
+}
+
+/// Checkpoint file private to the running test (ctest runs tests as
+/// concurrent processes), removed again when the test ends.
+class EngineCheckpoint : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "engine_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+            std::to_string(::getpid()) + ".gckp";
+    std::remove(path_.c_str());
+  }
+  void TearDown() override {
+    ckpt::clear_interrupt();
+    std::remove(path_.c_str());
+  }
+
+  /// A four-run campaign killed after two boundary commits, then resumed
+  /// from that checkpoint. Records the order on_result fired in.
+  std::vector<ExperimentResult> resume_after_two(std::vector<std::size_t>* order) {
+    const std::vector<ExperimentConfig> configs = campaign();
+    EngineOptions opts;
+    opts.checkpoint.path = path_;
+    {
+      CampaignEngine killed{opts};
+      (void)killed.run({configs[0], configs[1]});
+    }
+    const ckpt::CheckpointFile file = ckpt::read_checkpoint_file(path_);
+    EXPECT_EQ(file.manifest.reason, "boundary");
+    EXPECT_EQ(file.manifest.completed, 2u);
+
+    opts.checkpoint.resume_path = path_;
+    CampaignEngine resumed{opts};
+    return resumed.run(configs, [order](std::size_t index, ExperimentResult&) {
+      order->push_back(index);
+    });
+  }
+
+  static std::vector<ExperimentConfig> campaign() {
+    std::vector<ExperimentConfig> configs = ladder_campaign();
+    configs.resize(4);
+    return configs;
+  }
+
+  std::string path_;
+};
+
+TEST_F(EngineCheckpoint, CheckpointingRequiresASerialEngine) {
+  for (const int jobs : {0, 2, 4}) {
+    EngineOptions opts;
+    opts.jobs = jobs;
+    opts.checkpoint.path = path_;
+    EXPECT_THROW({ CampaignEngine engine{opts}; }, std::invalid_argument) << "jobs=" << jobs;
+  }
+  EngineOptions serial;
+  serial.checkpoint.path = path_;
+  EXPECT_NO_THROW({ CampaignEngine engine{serial}; });
+}
+
+TEST_F(EngineCheckpoint, ResumedCampaignFiresReplayedAndFreshResultsInIndexOrder) {
+  std::vector<std::size_t> order;
+  const std::vector<ExperimentResult> results = resume_after_two(&order);
+  ASSERT_EQ(results.size(), 4u);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
+  const ckpt::CheckpointFile file = ckpt::read_checkpoint_file(path_);
+  EXPECT_EQ(file.manifest.completed, 4u);  // fresh runs committed after the prefix
+}
+
+TEST_F(EngineCheckpoint, ResumedResultsAreBitIdenticalToAnUninterruptedRun) {
+  CampaignEngine plain;
+  const std::vector<ExperimentResult> expected = plain.run(campaign());
+  std::vector<std::size_t> order;
+  const std::vector<ExperimentResult> got = resume_after_two(&order);
+  ASSERT_EQ(got.size(), expected.size());
+  auto bytes = [](const ExperimentResult& r) {
+    ckpt::Writer w;
+    ckpt_io::encode_result(w, r);
+    return w.take();
+  };
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(bytes(got[i]), bytes(expected[i])) << "run " << i;
+  }
+}
+
+TEST_F(EngineCheckpoint, InterruptDuringTheLastRunWritesASignalCheckpoint) {
+  const std::vector<ExperimentConfig> configs = campaign();
+  EngineOptions opts;
+  opts.checkpoint.path = path_;
+  CampaignEngine engine{opts};
+  EXPECT_THROW((void)engine.run(configs,
+                                [&](std::size_t index, ExperimentResult&) {
+                                  if (index + 1 == configs.size()) {
+                                    ckpt::request_interrupt();
+                                  }
+                                }),
+               ckpt::InterruptedError);
+  ckpt::clear_interrupt();
+  const ckpt::CheckpointFile file = ckpt::read_checkpoint_file(path_);
+  EXPECT_EQ(file.manifest.kind, "campaign");
+  EXPECT_EQ(file.manifest.reason, "signal");
+  EXPECT_EQ(file.manifest.completed, configs.size());
 }
 
 }  // namespace
