@@ -12,18 +12,11 @@
 #include <thread>
 
 #include "ckpt/serial.hpp"
+#include "obs/json.hpp"
 
 namespace greencap::ckpt {
 
 namespace {
-
-/// Shortest decimal form that round-trips a double (manifest only; the
-/// payload carries every double by bit pattern).
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 [[noreturn]] void fail(const std::string& path, const std::string& why) {
   throw CheckpointError{"checkpoint " + path + ": " + why};
@@ -70,12 +63,16 @@ class ManifestScanner {
 }  // namespace
 
 std::string manifest_to_json(const Manifest& manifest) {
+  // Round-trip precision in the manifest; the payload carries every double
+  // by bit pattern.
+  std::string t_virtual_s;
+  obs::json_append_number_exact(t_virtual_s, manifest.t_virtual_s);
   std::ostringstream os;
   os << "{\"format\":\"greencap-checkpoint\",\"version\":" << kFormatVersion
      << ",\"kind\":\"" << manifest.kind << "\",\"reason\":\"" << manifest.reason
      << "\",\"signature\":" << manifest.signature
      << ",\"completed\":" << manifest.completed
-     << ",\"t_virtual_s\":" << format_double(manifest.t_virtual_s)
+     << ",\"t_virtual_s\":" << t_virtual_s
      << ",\"payload_bytes\":" << manifest.payload_bytes
      << ",\"payload_crc32\":" << manifest.payload_crc32 << "}";
   return os.str();

@@ -1,55 +1,77 @@
 #include "ckpt/serial.hpp"
 
+#include <bit>
 #include <cstring>
 
 namespace greencap::ckpt {
 
 namespace {
 
-struct Crc32Table {
-  std::array<std::uint32_t, 256> entries{};
-  constexpr Crc32Table() {
+/// Slicing-by-8 tables: kCrcTables[0] is the classic bytewise table of the
+/// reflected IEEE polynomial; kCrcTables[k][b] is the CRC of byte `b`
+/// followed by k zero bytes, so eight table lookups advance eight bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1U) != 0 ? 0xedb88320U ^ (c >> 1) : c >> 1;
+    }
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
     for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1U) != 0 ? 0xedb88320U ^ (c >> 1) : c >> 1;
-      }
-      entries[i] = c;
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffU];
     }
   }
-};
+  return t;
+}
 
-constexpr Crc32Table kCrcTable{};
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Little-endian bytes of `v`, independent of the host's byte order.
+template <typename T>
+std::array<char, sizeof(T)> le_bytes(T v) {
+  std::array<char, sizeof(T)> b{};
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    b[i] = static_cast<char>((v >> (8 * i)) & 0xffU);
+  }
+  return b;
+}
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t c = seed ^ 0xffffffffU;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = kCrcTable.entries[(c ^ p[i]) & 0xffU] ^ (c >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo = c ^ (static_cast<std::uint32_t>(p[0]) |
+                                  static_cast<std::uint32_t>(p[1]) << 8 |
+                                  static_cast<std::uint32_t>(p[2]) << 16 |
+                                  static_cast<std::uint32_t>(p[3]) << 24);
+    c = kCrcTables[7][lo & 0xffU] ^ kCrcTables[6][(lo >> 8) & 0xffU] ^
+        kCrcTables[5][(lo >> 16) & 0xffU] ^ kCrcTables[4][lo >> 24] ^ kCrcTables[3][p[4]] ^
+        kCrcTables[2][p[5]] ^ kCrcTables[1][p[6]] ^ kCrcTables[0][p[7]];
+  }
+  for (; size > 0; ++p, --size) {
+    c = kCrcTables[0][(c ^ *p) & 0xffU] ^ (c >> 8);
   }
   return c ^ 0xffffffffU;
 }
 
 void Writer::u32(std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    buf_.push_back(static_cast<char>((v >> shift) & 0xffU));
-  }
+  const auto b = le_bytes(v);
+  buf_.append(b.data(), b.size());
 }
 
 void Writer::u64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    buf_.push_back(static_cast<char>((v >> shift) & 0xffU));
-  }
+  const auto b = le_bytes(v);
+  buf_.append(b.data(), b.size());
 }
 
-void Writer::f64(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
-}
+void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
 void Writer::str(const std::string& v) {
   u64(v.size());

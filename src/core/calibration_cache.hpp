@@ -9,11 +9,14 @@
 // about 10 us, and both together stay under 0.2 % of a paper-size run.
 //
 // Thread safety: lookups are safe from any number of worker threads. Each
-// key computes exactly once — a per-entry std::once_flag makes concurrent
-// same-key callers block until the first compute finishes, then all of them
-// observe the same address-stable value (entries live behind unique_ptr and
-// are never evicted). A compute that throws releases the flag, so a later
-// caller retries rather than caching a broken entry.
+// key computes exactly once — every entry has its own mutex, held across
+// the compute, so concurrent same-key callers block until the first compute
+// finishes, then all of them observe the same address-stable value (entries
+// live behind unique_ptr and are never evicted). A compute that throws
+// leaves the entry's ready flag unset and releases its mutex, so a later
+// caller retries rather than caching a broken entry. The entry holds a
+// mutex rather than a std::once_flag because call_once's exceptional path
+// never returns under ThreadSanitizer.
 #pragma once
 
 #include <cstdint>
@@ -51,9 +54,22 @@ class CalibrationCache {
  private:
   template <typename V>
   struct Entry {
-    std::once_flag once;
-    V value{};
+    std::mutex mu;
+    bool ready = false;  ///< guarded by mu; set once the compute returned
+    V value{};           ///< written under mu before ready, immutable after
   };
+
+  /// Runs `compute` into `e` unless an earlier call already did; a throw
+  /// leaves `e` uncomputed.
+  template <typename V, typename Compute>
+  static const V& compute_once(Entry<V>& e, const Compute& compute) {
+    const std::lock_guard<std::mutex> lock{e.mu};
+    if (!e.ready) {
+      e.value = compute();
+      e.ready = true;
+    }
+    return e.value;
+  }
 
   /// Finds or creates the entry for `key`, bumping hit/miss counters.
   template <typename V>

@@ -23,17 +23,25 @@ std::string DegradationReport::to_string() const {
 }
 
 void DegradationReport::write_json(std::ostream& os) const {
-  os << "{\"degradations\": [";
-  const char* sep = "";
-  for (const DegradationEvent& e : events_) {
-    os << sep << "{\"component\": " << obs::json_string(e.component)
-       << ", \"detail\": " << obs::json_string(e.detail)
-       << ", \"from\": " << obs::json_string(e.from) << ", \"to\": " << obs::json_string(e.to)
-       << ", \"reason\": " << obs::json_string(e.reason)
-       << ", \"at_s\": " << obs::json_number(e.at_s) << "}";
-    sep = ", ";
+  std::string out = "{\"degradations\": [";
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    const DegradationEvent& e = events_[i];
+    out += i == 0 ? "{\"component\": " : ", {\"component\": ";
+    obs::json_append_string(out, e.component);
+    out += ", \"detail\": ";
+    obs::json_append_string(out, e.detail);
+    out += ", \"from\": ";
+    obs::json_append_string(out, e.from);
+    out += ", \"to\": ";
+    obs::json_append_string(out, e.to);
+    out += ", \"reason\": ";
+    obs::json_append_string(out, e.reason);
+    out += ", \"at_s\": ";
+    obs::json_append_number(out, e.at_s);
+    out += "}";
   }
-  os << "]}\n";
+  out += "]}\n";
+  os << out;
 }
 
 }  // namespace greencap::fault

@@ -1,6 +1,7 @@
 #include "obs/decision_log.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -72,31 +73,74 @@ double DecisionLog::overall_mean_rel_error() const {
   return n > 0 ? sum / static_cast<double>(n) : 0.0;
 }
 
+namespace {
+
+/// Formatted text of the last number appended through it. The
+/// alternatives of one decision mostly repeat their neighbour's estimates
+/// (CPU workers share one perf model), so equal bits reuse the text.
+class RepeatedNumber {
+ public:
+  void append(std::string& out, double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    if (len_ != 0 && bits == bits_) {
+      out.append(text_, len_);
+      return;
+    }
+    const std::size_t at = out.size();
+    json_append_number(out, v);
+    len_ = out.copy(text_, sizeof text_, at);  // "%.9g" text is at most 16 bytes
+    bits_ = bits;
+  }
+
+ private:
+  std::uint64_t bits_ = 0;
+  std::size_t len_ = 0;  ///< 0 until the first append
+  char text_[32] = {};
+};
+
+}  // namespace
+
 void DecisionLog::write_json(std::ostream& os) const {
+  std::size_t alternatives = 0;
+  for (const Decision& d : decisions_) {
+    alternatives += d.alternatives.size();
+  }
   std::string out;
-  out.reserve(160 * decisions_.size() + 256);
+  out.reserve(256 + 224 * decisions_.size() + 96 * alternatives);
+  RepeatedNumber exec_s;
+  RepeatedNumber transfer_s;
+  RepeatedNumber energy_j;
   out += "{\n  \"decisions\": [";
   for (std::size_t i = 0; i < decisions_.size(); ++i) {
     const Decision& d = decisions_[i];
     out += i == 0 ? "\n    {" : ",\n    {";
-    out += "\"task\": " + std::to_string(d.task);
+    out += "\"task\": ";
+    json_append_int(out, d.task);
     out += ", \"codelet\": ";
     json_append_string(out, d.codelet);
     out += ", \"arch\": ";
     json_append_string(out, d.worker_arch);
-    out += ", \"worker\": " + std::to_string(d.chosen_worker);
-    out += ", \"decided_at_s\": " + json_number(d.decided_at.sec());
-    out += ", \"queue_wait_s\": " + json_number(d.queue_wait_s);
-    out += ", \"expected_exec_s\": " + json_number(d.expected_exec_s);
-    out += ", \"realized_exec_s\": " + json_number(d.realized_exec_s);
+    out += ", \"worker\": ";
+    json_append_int(out, d.chosen_worker);
+    out += ", \"decided_at_s\": ";
+    json_append_number(out, d.decided_at.sec());
+    out += ", \"queue_wait_s\": ";
+    json_append_number(out, d.queue_wait_s);
+    out += ", \"expected_exec_s\": ";
+    json_append_number(out, d.expected_exec_s);
+    out += ", \"realized_exec_s\": ";
+    json_append_number(out, d.realized_exec_s);
     out += ", \"alternatives\": [";
     for (std::size_t k = 0; k < d.alternatives.size(); ++k) {
       const DecisionAlternative& alt = d.alternatives[k];
-      if (k > 0) out += ", ";
-      out += "{\"worker\": " + std::to_string(alt.worker);
-      out += ", \"exec_s\": " + json_number(alt.expected_exec_s);
-      out += ", \"transfer_s\": " + json_number(alt.expected_transfer_s);
-      out += ", \"energy_j\": " + json_number(alt.expected_energy_j);
+      out += k == 0 ? "{\"worker\": " : ", {\"worker\": ";
+      json_append_int(out, alt.worker);
+      out += ", \"exec_s\": ";
+      exec_s.append(out, alt.expected_exec_s);
+      out += ", \"transfer_s\": ";
+      transfer_s.append(out, alt.expected_transfer_s);
+      out += ", \"energy_j\": ";
+      energy_j.append(out, alt.expected_energy_j);
       out += "}";
     }
     out += "]}";

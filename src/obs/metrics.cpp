@@ -98,7 +98,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     first = false;
     json_append_string(out, name);
     out += ": ";
-    out += std::to_string(c.value());
+    json_append_int(out, c.value());
   }
   out += counters_.empty() ? "},\n" : "\n  },\n";
 
@@ -109,7 +109,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     first = false;
     json_append_string(out, name);
     out += ": ";
-    out += json_number(g.value());
+    json_append_number(out, g.value());
   }
   out += gauges_.empty() ? "},\n" : "\n  },\n";
 
@@ -119,20 +119,25 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     out += first ? "\n    " : ",\n    ";
     first = false;
     json_append_string(out, name);
-    out += ": {\"count\": " + std::to_string(h.count());
-    out += ", \"sum\": " + json_number(h.sum());
-    out += ", \"mean\": " + json_number(h.mean());
-    out += ", \"min\": " + json_number(h.min());
-    out += ", \"max\": " + json_number(h.max());
+    out += ": {\"count\": ";
+    json_append_int(out, h.count());
+    out += ", \"sum\": ";
+    json_append_number(out, h.sum());
+    out += ", \"mean\": ";
+    json_append_number(out, h.mean());
+    out += ", \"min\": ";
+    json_append_number(out, h.min());
+    out += ", \"max\": ";
+    json_append_number(out, h.max());
     out += ", \"bounds\": [";
     for (std::size_t i = 0; i < h.bounds().size(); ++i) {
       if (i > 0) out += ", ";
-      out += json_number(h.bounds()[i]);
+      json_append_number(out, h.bounds()[i]);
     }
     out += "], \"buckets\": [";
     for (std::size_t i = 0; i < h.buckets().size(); ++i) {
       if (i > 0) out += ", ";
-      out += std::to_string(h.buckets()[i]);
+      json_append_int(out, h.buckets()[i]);
     }
     out += "]}";
   }

@@ -36,7 +36,7 @@ double TelemetrySeries::max_value(std::size_t channel) const {
 
 void TelemetrySeries::write_json(std::ostream& os) const {
   std::string out;
-  out.reserve(64 * samples_.size() + 1024);
+  out.reserve(1024 + samples_.size() * (24 + 16 * channels_.size()));
   out += "{\n  \"channels\": [";
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     out += i == 0 ? "\n    " : ",\n    ";
@@ -50,10 +50,10 @@ void TelemetrySeries::write_json(std::ostream& os) const {
   out += "  \"samples\": [";
   for (std::size_t i = 0; i < samples_.size(); ++i) {
     out += i == 0 ? "\n    [" : ",\n    [";
-    out += json_number(samples_[i].t.sec());
+    json_append_number(out, samples_[i].t.sec());
     for (const double v : samples_[i].values) {
       out += ", ";
-      out += json_number(v);
+      json_append_number(out, v);
     }
     out += "]";
   }

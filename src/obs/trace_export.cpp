@@ -23,9 +23,11 @@ void append_meta(std::string& out, bool& first, const char* kind, int pid, int t
   first = false;
   out += "{\"name\": \"";
   out += kind;
-  out += "\", \"ph\": \"M\", \"pid\": " + std::to_string(pid);
+  out += "\", \"ph\": \"M\", \"pid\": ";
+  json_append_int(out, pid);
   if (tid >= 0) {
-    out += ", \"tid\": " + std::to_string(tid);
+    out += ", \"tid\": ";
+    json_append_int(out, tid);
   }
   out += ", \"args\": {\"name\": ";
   json_append_string(out, label);
@@ -36,8 +38,13 @@ void append_meta(std::string& out, bool& first, const char* kind, int pid, int t
 
 void write_chrome_trace(std::ostream& os, const sim::Trace& trace,
                         const ChromeTraceOptions& options) {
+  const std::size_t counter_events =
+      options.telemetry != nullptr
+          ? options.telemetry->channels().size() * options.telemetry->samples().size()
+          : 0;
   std::string out;
-  out.reserve(160 * trace.spans().size() + 1024);
+  out.reserve(1024 + 160 * trace.spans().size() + 128 * trace.markers().size() +
+              112 * counter_events);
   out += "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [";
   bool first = true;
 
@@ -80,11 +87,17 @@ void write_chrome_trace(std::ostream& os, const sim::Trace& trace,
     json_append_string(out, s.name);
     out += ", \"cat\": \"";
     out += sim::to_string(s.kind);
-    out += "\", \"ph\": \"X\", \"ts\": " + json_number(s.begin.us());
-    out += ", \"dur\": " + json_number(std::max(0.0, s.duration().us()));
-    out += ", \"pid\": " + std::to_string(pid);
-    out += ", \"tid\": " + std::to_string(tid);
-    out += ", \"args\": {\"object\": " + std::to_string(s.object) + "}}";
+    out += "\", \"ph\": \"X\", \"ts\": ";
+    json_append_number(out, s.begin.us());
+    out += ", \"dur\": ";
+    json_append_number(out, std::max(0.0, s.duration().us()));
+    out += ", \"pid\": ";
+    json_append_int(out, pid);
+    out += ", \"tid\": ";
+    json_append_int(out, tid);
+    out += ", \"args\": {\"object\": ";
+    json_append_int(out, s.object);
+    out += "}}";
   }
 
   // -- markers as global instant events ----------------------------------
@@ -93,8 +106,10 @@ void write_chrome_trace(std::ostream& os, const sim::Trace& trace,
     first = false;
     out += "\"name\": ";
     json_append_string(out, m.name);
-    out += ", \"ph\": \"i\", \"s\": \"g\", \"ts\": " + json_number(m.when.us());
-    out += ", \"pid\": " + std::to_string(kWorkersPid);
+    out += ", \"ph\": \"i\", \"s\": \"g\", \"ts\": ";
+    json_append_number(out, m.when.us());
+    out += ", \"pid\": ";
+    json_append_int(out, kWorkersPid);
     out += ", \"tid\": 0}";
   }
 
@@ -103,16 +118,24 @@ void write_chrome_trace(std::ostream& os, const sim::Trace& trace,
     const TelemetrySeries& series = *options.telemetry;
     for (std::size_t c = 0; c < series.channels().size(); ++c) {
       const TelemetryChannel& chan = series.channels()[c];
+      // Every sample of a channel shares its name, pid and unit.
+      std::string name;
+      json_append_string(name, chan.name);
+      std::string args = ", \"pid\": ";
+      json_append_int(args, kTelemetryPid);
+      args += ", \"args\": {";
+      json_append_string(args, chan.unit.empty() ? std::string_view{"value"} : chan.unit);
+      args += ": ";
       for (const TelemetrySample& sample : series.samples()) {
         out += first ? "\n    {" : ",\n    {";
         first = false;
         out += "\"name\": ";
-        json_append_string(out, chan.name);
-        out += ", \"ph\": \"C\", \"ts\": " + json_number(sample.t.us());
-        out += ", \"pid\": " + std::to_string(kTelemetryPid);
-        out += ", \"args\": {";
-        json_append_string(out, chan.unit.empty() ? std::string{"value"} : chan.unit);
-        out += ": " + json_number(sample.values.at(c)) + "}}";
+        out += name;
+        out += ", \"ph\": \"C\", \"ts\": ";
+        json_append_number(out, sample.t.us());
+        out += args;
+        json_append_number(out, sample.values.at(c));
+        out += "}}";
       }
     }
   }

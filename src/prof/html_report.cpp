@@ -1,8 +1,8 @@
 #include "prof/html_report.hpp"
 
 #include <ostream>
-#include <sstream>
 #include <string>
+#include <string_view>
 
 namespace greencap::prof {
 
@@ -10,18 +10,15 @@ namespace {
 
 // The JSON data island must not terminate the <script> element early;
 // escaping "</" as the JSON-legal "<\/" makes any embedded string safe.
-std::string escape_for_script(std::string json) {
-  std::string out;
-  out.reserve(json.size());
-  for (std::size_t i = 0; i < json.size(); ++i) {
-    if (json[i] == '<' && i + 1 < json.size() && json[i + 1] == '/') {
-      out += "<\\/";
-      ++i;
-    } else {
-      out.push_back(json[i]);
-    }
+void append_escaped_for_script(std::string& out, std::string_view json) {
+  std::size_t from = 0;
+  for (std::size_t at = json.find("</"); at != std::string_view::npos;
+       at = json.find("</", from)) {
+    out.append(json, from, at - from);
+    out += "<\\/";
+    from = at + 2;
   }
-  return out;
+  out.append(json, from);
 }
 
 constexpr const char* kHead = R"html(<!doctype html>
@@ -194,12 +191,13 @@ if (P.model_accuracy.length) {
 }  // namespace
 
 void write_html_report(std::ostream& os, const Profile& profile) {
-  std::ostringstream json;
-  profile.write_json(json);
-  os << kHead;
-  os << "<script id=\"profile\" type=\"application/json\">" << escape_for_script(json.str())
-     << "</script>\n";
-  os << kScript;
+  const std::string json = profile.to_json();
+  std::string island;
+  island.reserve(json.size() + 128);
+  island += "<script id=\"profile\" type=\"application/json\">";
+  append_escaped_for_script(island, json);
+  island += "</script>\n";
+  os << kHead << island << kScript;
 }
 
 }  // namespace greencap::prof

@@ -1,8 +1,10 @@
 #include "prof/profile.hpp"
 
 #include <algorithm>
+#include <concepts>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "obs/decision_log.hpp"
 #include "obs/json.hpp"
@@ -12,11 +14,24 @@ namespace greencap::prof {
 
 namespace {
 
-using obs::json_string;
-
 // profile.json readers re-verify the conservation identity from the
 // serialized numbers, so every double goes out at round-trip precision.
-std::string json_number(double v) { return obs::json_number_exact(v); }
+// Each field() appends `prefix` (punctuation and key) and then the value.
+void field(std::string& out, std::string_view prefix, double v) {
+  out += prefix;
+  obs::json_append_number_exact(out, v);
+}
+
+void field(std::string& out, std::string_view prefix, std::string_view v) {
+  out += prefix;
+  obs::json_append_string(out, v);
+}
+
+template <std::integral T>
+void field(std::string& out, std::string_view prefix, T v) {
+  out += prefix;
+  obs::json_append_int(out, v);
+}
 
 void summarize_decisions(const obs::DecisionLog& log, Profile& profile) {
   for (const obs::ModelAccuracy& acc : log.accuracy_report()) {
@@ -49,164 +64,176 @@ void summarize_telemetry(const obs::TelemetrySeries& series, Profile& profile) {
   }
 }
 
-void write_device_json(std::ostream& os, const DeviceRecord& dev, const DeviceAttribution& att) {
-  os << "{\"kind\":" << json_string(to_string(dev.kind)) << ",\"index\":" << dev.index
-     << ",\"name\":" << json_string(dev.name) << ",\"level\":" << json_string(std::string(1, dev.level))
-     << ",\"cap_w\":" << json_number(dev.cap_w) << ",\"static_w\":" << json_number(dev.static_w)
-     << ",\"metered_j\":" << json_number(dev.metered_j)
-     << ",\"tasks_j\":" << json_number(att.tasks_j)
-     << ",\"static_j\":" << json_number(att.static_j)
-     << ",\"residual_j\":" << json_number(att.residual_j)
-     << ",\"busy_s\":" << json_number(att.busy_s) << ",\"idle_s\":" << json_number(att.idle_s)
-     << ",\"task_count\":" << att.task_count << ",\"rate_scale\":{\"H\":"
-     << json_number(dev.rate_scale_h) << ",\"B\":" << json_number(dev.rate_scale_b)
-     << ",\"L\":" << json_number(dev.rate_scale_l) << "}}";
+void append_device(std::string& out, const DeviceRecord& dev, const DeviceAttribution& att) {
+  field(out, "{\"kind\":", to_string(dev.kind));
+  field(out, ",\"index\":", dev.index);
+  field(out, ",\"name\":", dev.name);
+  field(out, ",\"level\":", std::string_view{&dev.level, 1});
+  field(out, ",\"cap_w\":", dev.cap_w);
+  field(out, ",\"static_w\":", dev.static_w);
+  field(out, ",\"metered_j\":", dev.metered_j);
+  field(out, ",\"tasks_j\":", att.tasks_j);
+  field(out, ",\"static_j\":", att.static_j);
+  field(out, ",\"residual_j\":", att.residual_j);
+  field(out, ",\"busy_s\":", att.busy_s);
+  field(out, ",\"idle_s\":", att.idle_s);
+  field(out, ",\"task_count\":", att.task_count);
+  field(out, ",\"rate_scale\":{\"H\":", dev.rate_scale_h);
+  field(out, ",\"B\":", dev.rate_scale_b);
+  field(out, ",\"L\":", dev.rate_scale_l);
+  out += "}}";
 }
 
 }  // namespace
 
-void Profile::write_json(std::ostream& os) const {
-  os << "{\"schema_version\":1,\n\"run\":{";
-  os << "\"platform\":" << json_string(capture.platform)
-     << ",\"operation\":" << json_string(capture.operation)
-     << ",\"precision\":" << json_string(capture.precision) << ",\"n\":" << capture.n
-     << ",\"nb\":" << capture.nb << ",\"gpu_config\":" << json_string(capture.gpu_config)
-     << ",\"scheduler\":" << json_string(capture.scheduler)
-     << ",\"window\":{\"begin_s\":" << json_number(capture.t_begin_s)
-     << ",\"end_s\":" << json_number(capture.t_end_s) << "}"
-     << ",\"makespan_s\":" << json_number(capture.makespan_s)
-     << ",\"total_flops\":" << json_number(capture.total_flops)
-     << ",\"metrics\":{\"time_s\":" << json_number(metrics.time_s)
-     << ",\"energy_j\":" << json_number(metrics.energy_j)
-     << ",\"gflops\":" << json_number(metrics.gflops)
-     << ",\"gflops_per_w\":" << json_number(metrics.gflops_per_w)
-     << ",\"edp_js\":" << json_number(metrics.edp_js)
-     << ",\"eds_js2\":" << json_number(metrics.eds_js2) << "}}";
+std::string Profile::to_json() const {
+  std::string out;
+  out.reserve(4096 + 256 * capture.tasks.size() + 96 * critical_path.time_path.size() +
+              256 * efficiency.size());
+  out += "{\"schema_version\":1,\n\"run\":{";
+  field(out, "\"platform\":", capture.platform);
+  field(out, ",\"operation\":", capture.operation);
+  field(out, ",\"precision\":", capture.precision);
+  field(out, ",\"n\":", capture.n);
+  field(out, ",\"nb\":", capture.nb);
+  field(out, ",\"gpu_config\":", capture.gpu_config);
+  field(out, ",\"scheduler\":", capture.scheduler);
+  field(out, ",\"window\":{\"begin_s\":", capture.t_begin_s);
+  field(out, ",\"end_s\":", capture.t_end_s);
+  field(out, "},\"makespan_s\":", capture.makespan_s);
+  field(out, ",\"total_flops\":", capture.total_flops);
+  field(out, ",\"metrics\":{\"time_s\":", metrics.time_s);
+  field(out, ",\"energy_j\":", metrics.energy_j);
+  field(out, ",\"gflops\":", metrics.gflops);
+  field(out, ",\"gflops_per_w\":", metrics.gflops_per_w);
+  field(out, ",\"edp_js\":", metrics.edp_js);
+  field(out, ",\"eds_js2\":", metrics.eds_js2);
+  out += "}}";
 
   // -- attribution ----------------------------------------------------------
-  os << ",\n\"attribution\":{\"total_metered_j\":" << json_number(attribution.total_metered_j)
-     << ",\"total_tasks_j\":" << json_number(attribution.total_tasks_j)
-     << ",\"total_static_j\":" << json_number(attribution.total_static_j)
-     << ",\"total_residual_j\":" << json_number(attribution.total_residual_j) << "}";
+  field(out, ",\n\"attribution\":{\"total_metered_j\":", attribution.total_metered_j);
+  field(out, ",\"total_tasks_j\":", attribution.total_tasks_j);
+  field(out, ",\"total_static_j\":", attribution.total_static_j);
+  field(out, ",\"total_residual_j\":", attribution.total_residual_j);
+  out += "}";
 
-  os << ",\n\"devices\":[";
+  out += ",\n\"devices\":[";
   for (std::size_t d = 0; d < capture.devices.size(); ++d) {
     if (d != 0) {
-      os << ',';
+      out += ',';
     }
-    write_device_json(os, capture.devices[d], attribution.devices[d]);
+    append_device(out, capture.devices[d], attribution.devices[d]);
   }
-  os << "]";
+  out += "]";
 
   // -- workers --------------------------------------------------------------
-  os << ",\n\"workers\":[";
+  out += ",\n\"workers\":[";
   for (std::size_t w = 0; w < capture.workers.size(); ++w) {
     const WorkerRecord& wr = capture.workers[w];
     const WorkerBreakdown& b = critical_path.workers[w];
-    if (w != 0) {
-      os << ',';
-    }
-    os << "{\"id\":" << wr.id << ",\"name\":" << json_string(wr.name)
-       << ",\"arch\":" << json_string(wr.is_cuda ? "cuda" : "cpu")
-       << ",\"device\":{\"kind\":" << json_string(to_string(wr.device_kind))
-       << ",\"index\":" << wr.device_index << "},\"tasks\":" << b.tasks
-       << ",\"busy_s\":" << json_number(b.busy_s)
-       << ",\"transfer_wait_s\":" << json_number(b.transfer_wait_s)
-       << ",\"starvation_s\":" << json_number(b.starvation_s)
-       << ",\"flops\":" << json_number(b.flops) << ",\"energy_j\":" << json_number(b.energy_j)
-       << "}";
+    field(out, w == 0 ? "{\"id\":" : ",{\"id\":", wr.id);
+    field(out, ",\"name\":", wr.name);
+    field(out, ",\"arch\":", wr.is_cuda ? "cuda" : "cpu");
+    field(out, ",\"device\":{\"kind\":", to_string(wr.device_kind));
+    field(out, ",\"index\":", wr.device_index);
+    field(out, "},\"tasks\":", b.tasks);
+    field(out, ",\"busy_s\":", b.busy_s);
+    field(out, ",\"transfer_wait_s\":", b.transfer_wait_s);
+    field(out, ",\"starvation_s\":", b.starvation_s);
+    field(out, ",\"flops\":", b.flops);
+    field(out, ",\"energy_j\":", b.energy_j);
+    out += "}";
   }
-  os << "]";
+  out += "]";
 
   // -- tasks ----------------------------------------------------------------
-  os << ",\n\"tasks\":[";
+  out += ",\n\"tasks\":[";
   for (std::size_t i = 0; i < capture.tasks.size(); ++i) {
     const TaskRecord& t = capture.tasks[i];
-    if (i != 0) {
-      os << ',';
-    }
-    os << "{\"id\":" << t.id << ",\"label\":" << json_string(t.label)
-       << ",\"codelet\":" << json_string(t.codelet) << ",\"worker\":" << t.worker
-       << ",\"start_s\":" << json_number(t.start_s) << ",\"end_s\":" << json_number(t.end_s)
-       << ",\"flops\":" << json_number(t.flops)
-       << ",\"energy_j\":" << json_number(attribution.task_energy_j[i])
-       << ",\"slack_s\":" << json_number(critical_path.slack_s[i]) << "}";
+    field(out, i == 0 ? "{\"id\":" : ",{\"id\":", t.id);
+    field(out, ",\"label\":", t.label);
+    field(out, ",\"codelet\":", t.codelet);
+    field(out, ",\"worker\":", t.worker);
+    field(out, ",\"start_s\":", t.start_s);
+    field(out, ",\"end_s\":", t.end_s);
+    field(out, ",\"flops\":", t.flops);
+    field(out, ",\"energy_j\":", attribution.task_energy_j[i]);
+    field(out, ",\"slack_s\":", critical_path.slack_s[i]);
+    out += "}";
   }
-  os << "]";
+  out += "]";
 
   // -- critical paths -------------------------------------------------------
-  os << ",\n\"critical_path\":{\"time\":{\"length_s\":" << json_number(critical_path.length_s)
-     << ",\"exec_s\":" << json_number(critical_path.exec_s)
-     << ",\"transfer_wait_s\":" << json_number(critical_path.transfer_wait_s)
-     << ",\"other_wait_s\":" << json_number(critical_path.other_wait_s) << ",\"steps\":[";
+  field(out, ",\n\"critical_path\":{\"time\":{\"length_s\":", critical_path.length_s);
+  field(out, ",\"exec_s\":", critical_path.exec_s);
+  field(out, ",\"transfer_wait_s\":", critical_path.transfer_wait_s);
+  field(out, ",\"other_wait_s\":", critical_path.other_wait_s);
+  out += ",\"steps\":[";
   for (std::size_t i = 0; i < critical_path.time_path.size(); ++i) {
     const PathStep& step = critical_path.time_path[i];
-    if (i != 0) {
-      os << ',';
-    }
-    os << "{\"task\":" << step.task << ",\"link\":" << json_string(to_string(step.link))
-       << ",\"gap_s\":" << json_number(step.gap_s)
-       << ",\"transfer_wait_s\":" << json_number(step.transfer_wait_s) << "}";
+    field(out, i == 0 ? "{\"task\":" : ",{\"task\":", step.task);
+    field(out, ",\"link\":", to_string(step.link));
+    field(out, ",\"gap_s\":", step.gap_s);
+    field(out, ",\"transfer_wait_s\":", step.transfer_wait_s);
+    out += "}";
   }
-  os << "]},\"energy\":{\"joules\":" << json_number(critical_path.energy_path_j) << ",\"tasks\":[";
+  field(out, "]},\"energy\":{\"joules\":", critical_path.energy_path_j);
+  out += ",\"tasks\":[";
   for (std::size_t i = 0; i < critical_path.energy_path.size(); ++i) {
-    if (i != 0) {
-      os << ',';
-    }
-    os << critical_path.energy_path[i];
+    field(out, i == 0 ? "" : ",", critical_path.energy_path[i]);
   }
-  os << "]}}";
+  out += "]}}";
 
   // -- efficiency table -----------------------------------------------------
-  os << ",\n\"efficiency\":[";
+  out += ",\n\"efficiency\":[";
   for (std::size_t i = 0; i < efficiency.size(); ++i) {
     const EfficiencyCell& cell = efficiency[i];
-    if (i != 0) {
-      os << ',';
-    }
-    os << "{\"codelet\":" << json_string(cell.codelet)
-       << ",\"device\":{\"kind\":" << json_string(to_string(cell.kind))
-       << ",\"index\":" << cell.device_index << "}"
-       << ",\"level\":" << json_string(std::string(1, cell.level))
-       << ",\"cap_w\":" << json_number(cell.cap_w) << ",\"tasks\":" << cell.tasks
-       << ",\"flops\":" << json_number(cell.flops) << ",\"exec_s\":" << json_number(cell.exec_s)
-       << ",\"energy_j\":" << json_number(cell.energy_j)
-       << ",\"gflops\":" << json_number(cell.gflops())
-       << ",\"gflops_per_w\":" << json_number(cell.gflops_per_w())
-       << ",\"j_per_task\":" << json_number(cell.j_per_task())
-       << ",\"edp_js\":" << json_number(cell.edp_js()) << "}";
+    field(out, i == 0 ? "{\"codelet\":" : ",{\"codelet\":", cell.codelet);
+    field(out, ",\"device\":{\"kind\":", to_string(cell.kind));
+    field(out, ",\"index\":", cell.device_index);
+    field(out, "},\"level\":", std::string_view{&cell.level, 1});
+    field(out, ",\"cap_w\":", cell.cap_w);
+    field(out, ",\"tasks\":", cell.tasks);
+    field(out, ",\"flops\":", cell.flops);
+    field(out, ",\"exec_s\":", cell.exec_s);
+    field(out, ",\"energy_j\":", cell.energy_j);
+    field(out, ",\"gflops\":", cell.gflops());
+    field(out, ",\"gflops_per_w\":", cell.gflops_per_w());
+    field(out, ",\"j_per_task\":", cell.j_per_task());
+    field(out, ",\"edp_js\":", cell.edp_js());
+    out += "}";
   }
-  os << "]";
+  out += "]";
 
   // -- what-if --------------------------------------------------------------
-  os << ",\n\"whatif\":[";
+  out += ",\n\"whatif\":[";
   for (std::size_t i = 0; i < whatif.size(); ++i) {
     const WhatIfEntry& entry = whatif[i];
-    if (i != 0) {
-      os << ',';
-    }
-    os << "{\"config\":" << json_string(entry.config)
-       << ",\"lower_bound_s\":" << json_number(entry.lower_bound_s)
-       << ",\"dag_bound_s\":" << json_number(entry.dag_bound_s)
-       << ",\"work_bound_s\":" << json_number(entry.work_bound_s)
-       << ",\"vs_measured\":" << json_number(entry.vs_measured) << "}";
+    field(out, i == 0 ? "{\"config\":" : ",{\"config\":", entry.config);
+    field(out, ",\"lower_bound_s\":", entry.lower_bound_s);
+    field(out, ",\"dag_bound_s\":", entry.dag_bound_s);
+    field(out, ",\"work_bound_s\":", entry.work_bound_s);
+    field(out, ",\"vs_measured\":", entry.vs_measured);
+    out += "}";
   }
-  os << "]";
+  out += "]";
 
   // -- optional PR 1 enrichments -------------------------------------------
-  os << ",\n\"model_accuracy\":[";
+  out += ",\n\"model_accuracy\":[";
   for (std::size_t i = 0; i < model_accuracy.size(); ++i) {
     const ModelAccuracyRow& row = model_accuracy[i];
-    if (i != 0) {
-      os << ',';
-    }
-    os << "{\"codelet\":" << json_string(row.codelet) << ",\"arch\":" << json_string(row.arch)
-       << ",\"samples\":" << row.samples
-       << ",\"mean_rel_error\":" << json_number(row.mean_rel_error) << "}";
+    field(out, i == 0 ? "{\"codelet\":" : ",{\"codelet\":", row.codelet);
+    field(out, ",\"arch\":", row.arch);
+    field(out, ",\"samples\":", row.samples);
+    field(out, ",\"mean_rel_error\":", row.mean_rel_error);
+    out += "}";
   }
-  os << "],\"peak_node_power_w\":" << json_number(peak_node_power_w);
-  os << "}\n";
+  field(out, "],\"peak_node_power_w\":", peak_node_power_w);
+  out += "}\n";
+  return out;
 }
+
+void Profile::write_json(std::ostream& os) const { os << to_json(); }
 
 Profile analyze(const RunCapture& capture, const AnalyzeOptions& options) {
   Profile profile;

@@ -44,7 +44,9 @@ struct Profile {
   std::vector<ModelAccuracyRow> model_accuracy;  ///< empty without a decision log
   double peak_node_power_w = 0.0;                ///< 0 without telemetry
 
-  /// Writes profile.json (stable schema, schema_version bumped on change).
+  /// profile.json text (stable schema, schema_version bumped on change).
+  [[nodiscard]] std::string to_json() const;
+  /// Writes to_json() to `os`.
   void write_json(std::ostream& os) const;
 };
 

@@ -7,7 +7,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 namespace ckpt = greencap::ckpt;
 
@@ -70,6 +72,16 @@ TEST(Serial, EncodingIsLittleEndianAndStable) {
   EXPECT_EQ(static_cast<unsigned char>(b[1]), 0x03);
   EXPECT_EQ(static_cast<unsigned char>(b[2]), 0x02);
   EXPECT_EQ(static_cast<unsigned char>(b[3]), 0x01);
+
+  ckpt::Writer w64;
+  w64.u64(0x0102030405060708ULL);
+  w64.f64(-2.0);  // IEEE-754 bits 0xC000000000000000
+  const std::string& b64 = w64.data();
+  ASSERT_EQ(b64.size(), 16u);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(static_cast<unsigned char>(b64[i]), 8 - i) << "u64 byte " << i;
+    EXPECT_EQ(static_cast<unsigned char>(b64[8 + i]), i == 7 ? 0xC0 : 0x00) << "f64 byte " << i;
+  }
 }
 
 TEST(Serial, SectionTagMismatchNamesBothTags) {
@@ -131,4 +143,53 @@ TEST(Serial, Crc32MatchesKnownVector) {
   // Chunked computation matches one-shot.
   const std::uint32_t part = ckpt::crc32("12345", 5);
   EXPECT_EQ(ckpt::crc32("6789", 4, part), 0xCBF43926u);
+}
+
+namespace {
+
+/// Byte-at-a-time CRC-32 (reflected IEEE polynomial, zlib's convention),
+/// the reference for the table-driven implementation.
+std::uint32_t reference_crc32(const unsigned char* p, std::size_t n, std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1U) != 0 ? 0xedb88320U ^ (c >> 1) : c >> 1;
+    }
+  }
+  return ~c;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng{seed};
+  std::vector<unsigned char> v(n);
+  for (unsigned char& b : v) b = static_cast<unsigned char>(rng());
+  return v;
+}
+
+}  // namespace
+
+TEST(Serial, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  const std::vector<unsigned char> buf = random_bytes(257 + 8, 1);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 257; ++len) {
+      ASSERT_EQ(ckpt::crc32(buf.data() + offset, len), reference_crc32(buf.data() + offset, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+TEST(Serial, Crc32ChunkedEqualsOneShotAtEverySplit) {
+  std::mt19937_64 rng{7};
+  const std::vector<unsigned char> buf = random_bytes(1024, 2);
+  for (int trial = 0; trial < 4; ++trial) {
+    const auto seed = static_cast<std::uint32_t>(rng());
+    const std::uint32_t whole = ckpt::crc32(buf.data(), buf.size(), seed);
+    ASSERT_EQ(whole, reference_crc32(buf.data(), buf.size(), seed));
+    for (std::size_t split = 0; split <= buf.size(); ++split) {
+      const std::uint32_t head = ckpt::crc32(buf.data(), split, seed);
+      ASSERT_EQ(ckpt::crc32(buf.data() + split, buf.size() - split, head), whole)
+          << "seed " << seed << ", split " << split;
+    }
+  }
 }

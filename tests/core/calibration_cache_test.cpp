@@ -53,12 +53,50 @@ TEST(CalibrationCache, ThrowingComputeIsRetriedNotCached) {
   EXPECT_DOUBLE_EQ(cache.best_cap_w("k", compute), 7.0);
 }
 
+TEST(CalibrationCache, ThrowWhileOthersWaitLetsAWaiterRetry) {
+  CalibrationCache cache;
+  std::atomic<int> computes{0};
+  const auto compute = [&computes]() -> double {
+    // The first compute holds the entry long enough for the others to
+    // queue behind it, then fails; exactly one waiter must recompute.
+    if (computes.fetch_add(1) == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      throw std::runtime_error{"transient"};
+    }
+    return 7.0;
+  };
+  constexpr int kThreads = 4;
+  std::atomic<int> threw{0};
+  std::vector<double> got(kThreads, 0.0);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      try {
+        got[static_cast<std::size_t>(t)] = cache.best_cap_w("k", compute);
+      } catch (const std::runtime_error&) {
+        ++threw;
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(threw.load(), 1);
+  EXPECT_EQ(computes.load(), 2);
+  int sevens = 0;
+  for (const double v : got) {
+    sevens += v == 7.0 ? 1 : 0;
+  }
+  EXPECT_EQ(sevens, kThreads - 1);
+}
+
 TEST(CalibrationCache, SameKeyAcrossThreadsSharesOneSnapshot) {
   CalibrationCache cache;
   std::atomic<int> computes{0};
   const auto compute = [&computes] {
     ++computes;
-    // Widen the race window so late arrivals block on the once_flag
+    // Widen the race window so late arrivals block on the entry mutex
     // rather than finding a finished entry.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     rt::CalibrationRecord record;
