@@ -2,11 +2,12 @@
 //
 // Two pieces of per-run setup are pure functions of the configuration: the
 // per-GPU best-cap sweep (power::find_best_cap_w) and the perf-model
-// calibration campaign (an ordered list of history-model record() calls,
-// see rt::CalibrationRecord). The cache memoizes both so a campaign
-// computes each distinct key once and every other run reuses the immutable
-// snapshot. Neither dominates (perfbench/README.md): a cold sweep takes
-// about 10 us, and both together stay under 0.2 % of a paper-size run.
+// calibration campaign (its finished flat history model, see
+// rt::CalibrationRecord). The cache memoizes both so a campaign computes
+// each distinct key once and every other run reuses the immutable
+// snapshot; a calibration hit is one bulk copy of that model into the
+// run's empty one. Neither dominates a paper-size run (perfbench/README.md),
+// but on small advisor queries a hit saves most of a cold calibration.
 //
 // Thread safety: lookups are safe from any number of worker threads. Each
 // key computes exactly once — every entry has its own mutex, held across
@@ -40,9 +41,9 @@ class CalibrationCache {
   /// it via `compute` on first use.
   double best_cap_w(const std::string& key, const std::function<double()>& compute);
 
-  /// Calibration measurement log for `key`, computing it via `compute` on
-  /// first use. The returned reference stays valid (and the record
-  /// unchanged) for the cache's lifetime.
+  /// Calibrated model for `key`, computing it via `compute` on first use.
+  /// The returned reference stays valid (and the record unchanged) for the
+  /// cache's lifetime.
   const rt::CalibrationRecord& calibration(
       const std::string& key, const std::function<rt::CalibrationRecord()>& compute);
 

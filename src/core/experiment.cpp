@@ -141,9 +141,10 @@ ExperimentResult run_typed(const ExperimentConfig& config, CheckpointSession* se
     }
   };
   // Warm the history models, via the campaign cache when one is wired in:
-  // the first run with a given key measures (recording the exact record()
-  // sequence), every later run replays that immutable log — bit-identical
-  // model state either way, because calibration never advances the clock.
+  // the first run with a given key measures and keeps the finished model,
+  // every later run copies that immutable model into its empty one —
+  // bit-identical model state either way, because calibration never
+  // advances the clock.
   auto warm_models = [&] {
     CalibrationCache* cache = ctx.calibration_cache();
     if (cache == nullptr || !calibration_shareable(config)) {

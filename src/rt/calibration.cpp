@@ -1,34 +1,41 @@
 #include "rt/calibration.hpp"
 
+#include <stdexcept>
+
 namespace greencap::rt {
 
 void replay_calibration(Runtime& runtime, const CalibrationRecord& record) {
-  for (const CalibrationRecord::Entry& e : record.entries) {
-    runtime.perf_model().record(e.codelet, e.worker, e.work, sim::SimTime::seconds(e.time_s));
+  runtime.perf_model().import_model(record.model);
+}
+
+void Calibrator::set_record_sink(CalibrationRecord* record) {
+  if (record_ != nullptr) {
+    record_->model = runtime_.perf_model();
   }
+  if (record != nullptr && !runtime_.perf_model().empty()) {
+    throw std::logic_error("Calibrator::set_record_sink: the history model is not empty");
+  }
+  record_ = record;
 }
 
 void Calibrator::calibrate(const Codelet& codelet, const std::vector<hw::KernelWork>& works,
                            int samples_per_point) {
-  sets_.push_back(Set{&codelet, works, samples_per_point});
-  measure(codelet, works, samples_per_point);
+  sets_.push_back(Set{&codelet, runtime_.perf_model().intern(codelet.name), works,
+                      samples_per_point});
+  measure(sets_.back());
 }
 
-void Calibrator::measure(const Codelet& codelet, const std::vector<hw::KernelWork>& works,
-                         int samples) {
+void Calibrator::measure(const Set& set) {
+  HistoryPerfModel& model = runtime_.perf_model();
   for (std::size_t wi = 0; wi < runtime_.worker_count(); ++wi) {
     const Worker& worker = runtime_.worker(wi);
-    if (!codelet.where.can_run_on(worker.arch())) {
+    if (!set.codelet->where.can_run_on(worker.arch())) {
       continue;
     }
-    for (const hw::KernelWork& work : works) {
-      const sim::SimTime t = runtime_.oracle_exec_time(codelet, work, worker);
-      for (int s = 0; s < samples; ++s) {
-        runtime_.perf_model().record(codelet.name, worker.id(), work, t);
-        if (record_ != nullptr) {
-          record_->entries.push_back(
-              CalibrationRecord::Entry{codelet.name, worker.id(), work, t.sec()});
-        }
+    for (const hw::KernelWork& work : set.works) {
+      const sim::SimTime t = runtime_.oracle_exec_time(*set.codelet, work, worker);
+      for (int s = 0; s < set.samples; ++s) {
+        model.record(set.id, worker.id(), work, t);
       }
     }
   }
@@ -36,13 +43,8 @@ void Calibrator::measure(const Codelet& codelet, const std::vector<hw::KernelWor
 
 void Calibrator::recalibrate_all() {
   runtime_.perf_model().invalidate();
-  if (record_ != nullptr) {
-    // The invalidation wiped the model; only measurements from here on
-    // contribute to its final state, so the replay log restarts too.
-    record_->entries.clear();
-  }
   for (const Set& set : sets_) {
-    measure(*set.codelet, set.works, set.samples);
+    measure(set);
   }
 }
 

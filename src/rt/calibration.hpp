@@ -11,37 +11,33 @@
 //
 // Record/replay: the history model's state is purely a function of the
 // ordered record() calls it receives, and calibration never advances the
-// virtual clock. A CalibrationRecord therefore captures a measurement
-// campaign exactly; replaying it into a fresh runtime on the same platform
-// under the same caps rebuilds bit-identical model state. The campaign
-// engine's warmup cache relies on this to share calibration across runs.
+// virtual clock. A CalibrationRecord therefore keeps the finished model a
+// calibration campaign produced; importing it into the empty model of a
+// fresh runtime on the same platform under the same caps gives
+// bit-identical model state without re-measuring. The campaign engine's
+// warmup cache relies on this to share calibration across runs, and a
+// cache hit costs one bulk copy of the flat model (HistoryPerfModel::
+// import_model).
 #pragma once
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "hw/kernel_work.hpp"
 #include "rt/codelet.hpp"
+#include "rt/perf_model.hpp"
 #include "rt/runtime.hpp"
 
 namespace greencap::rt {
 
-/// The ordered sequence of history-model record() calls a calibration
-/// campaign issued. Immutable once built; safe to share across threads.
+/// The history model a calibration campaign left behind. Immutable once
+/// built; safe to share across threads.
 struct CalibrationRecord {
-  struct Entry {
-    std::string codelet;
-    std::int32_t worker;
-    hw::KernelWork work;
-    double time_s;
-  };
-  std::vector<Entry> entries;
+  HistoryPerfModel model;
 };
 
-/// Re-issues every recorded measurement into `runtime`'s history model,
-/// in the original order. The target runtime must have at least as many
-/// workers as the recording one (same platform in practice).
+/// Copies the recorded model into `runtime`'s history model, which must be
+/// empty (std::logic_error otherwise). The target runtime should run on the
+/// platform the record was measured on.
 void replay_calibration(Runtime& runtime, const CalibrationRecord& record);
 
 class Calibrator {
@@ -58,19 +54,22 @@ class Calibrator {
 
   [[nodiscard]] std::size_t registered_sets() const { return sets_.size(); }
 
-  /// Mirrors every subsequent measurement into `record` (not owned; null
-  /// stops recording). The recorded entries match the record() calls made
-  /// on the runtime's history model one-for-one.
-  void set_record_sink(CalibrationRecord* record) { record_ = record; }
+  /// Attaches `record` (not owned) to receive the calibration's model:
+  /// detaching it — set_record_sink(nullptr), or attaching another — copies
+  /// the runtime's history model into it. Attach to a model that holds no
+  /// statistics (std::logic_error otherwise), so the record holds exactly
+  /// what the measurements made in between produced.
+  void set_record_sink(CalibrationRecord* record);
 
  private:
-  void measure(const Codelet& codelet, const std::vector<hw::KernelWork>& works, int samples);
-
   struct Set {
     const Codelet* codelet;
+    CodeletId id;  ///< the codelet's id in the runtime's perf model
     std::vector<hw::KernelWork> works;
     int samples;
   };
+  void measure(const Set& set);
+
   Runtime& runtime_;
   std::vector<Set> sets_;
   CalibrationRecord* record_ = nullptr;

@@ -20,6 +20,7 @@ Runtime::Runtime(hw::Platform& platform, sim::Simulator& sim, RuntimeOptions opt
       rng_{options_.seed} {
   trace_.enable(options_.enable_trace);
   build_workers();
+  perf_model_.reserve_workers(workers_.size());
   scheduler_->attach(*this);
   if (options_.faults != nullptr) {
     options_.faults->on_dropout([this](int gpu, sim::SimTime now) { handle_dropout(gpu, now); });
@@ -99,6 +100,7 @@ TaskId Runtime::submit(TaskDesc desc) {
   const TaskId id = static_cast<TaskId>(tasks_.size());
   auto task = std::make_unique<Task>(id, desc.codelet, desc.work);
   task->priority = desc.priority;
+  task->perf_codelet = perf_model_.intern(desc.codelet->name);
   task->label = desc.label.empty() ? desc.codelet->name + "#" + std::to_string(id)
                                    : std::move(desc.label);
   task->accesses() = std::move(desc.accesses);
@@ -381,7 +383,7 @@ void Runtime::finish_task(Task& task, Worker& worker) {
   // Feed the observation back into the history model (StarPU updates its
   // models from every real execution, not only calibration runs).
   if (options_.update_perf_model) {
-    perf_model_.record(task.codelet().name, worker.id(), task.work(),
+    perf_model_.record(task.perf_codelet, worker.id(), task.work(),
                        task.end_time - task.start_time);
   }
 
@@ -487,7 +489,7 @@ sim::SimTime Runtime::flush_to_host() {
 }
 
 sim::SimTime Runtime::estimate_exec(const Task& task, const Worker& worker) {
-  if (const auto t = perf_model_.expected(task.codelet().name, worker.id(), task.work())) {
+  if (const auto t = perf_model_.expected(task.perf_codelet, worker.id(), task.work())) {
     return *t;
   }
   return oracle_exec_time(task.codelet(), task.work(), worker);

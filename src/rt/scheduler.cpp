@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 namespace greencap::rt {
@@ -211,24 +212,30 @@ WorkerId DmScheduler::push_ready(Task& task) {
   auto& workers = ctx().workers();
   const sim::SimTime now = ctx().now();
 
-  struct Candidate {
-    Worker* worker;
-    sim::SimTime finish;
-  };
-  std::vector<Candidate> candidates;
-  candidates.reserve(workers.size());
+  // The transfer estimate depends only on (task, memory node), and every
+  // CPU worker shares the host node: estimate once per node.
+  transfer_by_node_.clear();
+  candidates_.clear();
   sim::SimTime best_finish = sim::SimTime::infinity();
   for (Worker& w : workers) {
     if (!eligible(task, w)) continue;
     sim::SimTime penalty = ctx().estimate_exec(task, w);
     if (data_aware()) {
-      penalty += ctx().estimate_transfer(task, w);
+      const auto node = static_cast<std::size_t>(w.node());
+      if (node >= transfer_by_node_.size()) {
+        transfer_by_node_.resize(node + 1);
+      }
+      std::optional<sim::SimTime>& transfer = transfer_by_node_[node];
+      if (!transfer) {
+        transfer = ctx().estimate_transfer(task, w);
+      }
+      penalty += *transfer;
     }
     const sim::SimTime finish = std::max(now, w.expected_free) + penalty;
-    candidates.push_back(Candidate{&w, finish});
+    candidates_.push_back(Candidate{&w, finish});
     best_finish = std::min(best_finish, finish);
   }
-  if (candidates.empty()) {
+  if (candidates_.empty()) {
     throw std::runtime_error("dm scheduler: no eligible worker for task " + task.label);
   }
 
@@ -239,7 +246,7 @@ WorkerId DmScheduler::push_ready(Task& task) {
     // the earliest completion, minimize expected joules.
     const sim::SimTime budget = now + (best_finish - now) * (1.0 + energy_slack());
     double best_energy = std::numeric_limits<double>::infinity();
-    for (const Candidate& c : candidates) {
+    for (const Candidate& c : candidates_) {
       if (c.finish > budget) continue;
       const double energy = ctx().estimate_energy(task, *c.worker);
       if (energy < best_energy ||
@@ -251,7 +258,7 @@ WorkerId DmScheduler::push_ready(Task& task) {
     }
   }
   if (best == nullptr) {
-    for (const Candidate& c : candidates) {
+    for (const Candidate& c : candidates_) {
       if (c.finish == best_finish) {
         best = c.worker;
         chosen_finish = c.finish;

@@ -12,6 +12,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,8 @@ class SchedulerContext {
   [[nodiscard]] virtual sim::SimTime estimate_exec(const Task& task, const Worker& worker) = 0;
 
   /// Expected time to stage `task`'s missing inputs onto `worker`'s node.
+  /// Depends on the worker only through its memory node (dm-family
+  /// schedulers estimate once per node).
   [[nodiscard]] virtual sim::SimTime estimate_transfer(const Task& task,
                                                        const Worker& worker) = 0;
 
@@ -249,7 +252,15 @@ class DmScheduler : public Scheduler {
   void note_evicted(std::size_t count) override { pending_ -= count; }
 
  private:
+  struct Candidate {
+    Worker* worker;
+    sim::SimTime finish;
+  };
+
   std::size_t pending_ = 0;
+  // push_ready scratch, reused across calls; no state carries over.
+  std::vector<Candidate> candidates_;
+  std::vector<std::optional<sim::SimTime>> transfer_by_node_;
 };
 
 /// "dmda" (heft-tmdp): dm plus data-transfer penalty in the objective.

@@ -56,6 +56,8 @@ class Task {
   std::int32_t unresolved_deps = 0;
   std::vector<TaskId> successors;
   WorkerId assigned_worker = -1;
+  /// The codelet's id in the runtime's perf model, interned at submit.
+  CodeletId perf_codelet = 0;
   sim::SimTime ready_at;
   /// Instant the worker popped the task and staging began (profiler's
   /// transfer-wait anchor; re-set on requeue after a dropout).

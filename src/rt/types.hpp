@@ -10,6 +10,7 @@ using TaskId = std::int64_t;
 using HandleId = std::int64_t;
 using WorkerId = std::int32_t;
 using MemoryNode = std::int32_t;  ///< 0 = host RAM, 1+i = GPU i device memory
+using CodeletId = std::uint32_t;  ///< dense per-model codelet id (HistoryPerfModel::intern)
 
 inline constexpr MemoryNode kHostNode = 0;
 inline constexpr TaskId kInvalidTask = -1;

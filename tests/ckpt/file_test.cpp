@@ -4,6 +4,7 @@
 #include "ckpt/file.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -18,7 +19,8 @@ class FileTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "ckpt_file_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".gckp";
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+            std::to_string(::getpid()) + ".gckp";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

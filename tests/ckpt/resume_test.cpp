@@ -9,6 +9,7 @@
 #include "core/checkpoint.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -50,7 +51,8 @@ class ResumeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "resume_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".gckp";
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+            std::to_string(::getpid()) + ".gckp";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

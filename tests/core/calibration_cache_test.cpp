@@ -7,12 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/run_context.hpp"
+#include "la/calibration_sets.hpp"
+#include "la/lq.hpp"
+#include "la/lu.hpp"
+#include "la/qr.hpp"
+#include "rt/calibration.hpp"
 
 namespace greencap::core {
 namespace {
@@ -100,7 +106,7 @@ TEST(CalibrationCache, SameKeyAcrossThreadsSharesOneSnapshot) {
     // rather than finding a finished entry.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     rt::CalibrationRecord record;
-    record.entries.push_back({"dgemm", 3, hw::KernelWork{}, 0.125});
+    record.model.record("dgemm", 3, hw::KernelWork{}, sim::SimTime::seconds(0.125));
     return record;
   };
   constexpr int kThreads = 8;
@@ -118,10 +124,10 @@ TEST(CalibrationCache, SameKeyAcrossThreadsSharesOneSnapshot) {
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(seen[static_cast<std::size_t>(t)], seen[0]) << "thread " << t;
   }
-  ASSERT_EQ(seen[0]->entries.size(), 1u);
-  EXPECT_EQ(seen[0]->entries[0].codelet, "dgemm");
-  EXPECT_EQ(seen[0]->entries[0].worker, 3);
-  EXPECT_DOUBLE_EQ(seen[0]->entries[0].time_s, 0.125);
+  ASSERT_EQ(seen[0]->model.entry_count(), 1u);
+  const auto t = seen[0]->model.expected("dgemm", 3, hw::KernelWork{});
+  ASSERT_TRUE(t.has_value());
+  EXPECT_DOUBLE_EQ(t->sec(), 0.125);
 }
 
 ExperimentConfig small_gemm(const std::string& ladder) {
@@ -195,6 +201,111 @@ TEST(CalibrationCache, FaultInjectingRunsBypassTheCache) {
   const ExperimentResult with_cache = run_experiment(faulty, services);
   const ExperimentResult without_cache = run_experiment(faulty);
   expect_bit_identical(with_cache, without_cache);
+}
+
+// A cache hit copies the recorded model into the fresh run's empty one; it
+// must leave exactly the state a fresh calibration leaves, for every
+// operation's codelet set and both precisions.
+template <typename T>
+struct OperationCalibration {
+  la::Codelets<T> codelets;
+  la::LuCodelets<T> lu;
+  la::QrCodelets<T> qr;
+  la::LqCodelets<T> lq;
+
+  void run(rt::Calibrator& calibrator, Operation op, int nb) {
+    la::calibrate_codelets<T>(calibrator, codelets, {nb});
+    if (op == Operation::kGetrf) la::calibrate_lu_codelets<T>(calibrator, lu, {nb});
+    if (op == Operation::kGeqrf) la::calibrate_qr_codelets<T>(calibrator, qr, {nb});
+    if (op == Operation::kGelqf) la::calibrate_lq_codelets<T>(calibrator, lq, {nb});
+  }
+};
+
+template <typename T>
+void expect_hit_matches_fresh_calibration(const ExperimentConfig& cfg) {
+  SCOPED_TRACE(std::string{to_string(cfg.op)} + " " + hw::to_string(cfg.precision));
+  CalibrationCache cache;
+  const auto measure = [&cfg](RunContext& ctx) {
+    OperationCalibration<T> sets;
+    rt::Calibrator calibrator{ctx.runtime()};
+    rt::CalibrationRecord record;
+    calibrator.set_record_sink(&record);
+    sets.run(calibrator, cfg.op, cfg.nb);
+    calibrator.set_record_sink(nullptr);
+    return record;
+  };
+
+  RunContext fresh{cfg, RunServices{}};
+  fresh.apply_caps();
+  (void)cache.calibration("key", [&] { return measure(fresh); });
+
+  RunContext hit{cfg, RunServices{}};
+  hit.apply_caps();
+  const rt::CalibrationRecord& record = cache.calibration("key", [&]() -> rt::CalibrationRecord {
+    ADD_FAILURE() << "second lookup must hit";
+    return {};
+  });
+  rt::replay_calibration(hit.runtime(), record);
+  EXPECT_EQ(cache.hits(), 1u);
+
+  const rt::HistoryPerfModel& a = fresh.runtime().perf_model();
+  const rt::HistoryPerfModel& b = hit.runtime().perf_model();
+  ASSERT_GT(a.entry_count(), 0u);
+  EXPECT_EQ(a.entry_count(), b.entry_count());
+  const auto ah = a.export_history();
+  const auto bh = b.export_history();
+  ASSERT_EQ(ah.size(), bh.size());
+  for (std::size_t i = 0; i < ah.size(); ++i) {
+    EXPECT_EQ(ah[i].codelet, bh[i].codelet);
+    EXPECT_EQ(ah[i].worker, bh[i].worker);
+    EXPECT_EQ(ah[i].precision, bh[i].precision);
+    EXPECT_EQ(ah[i].size_key, bh[i].size_key);
+    EXPECT_EQ(ah[i].samples, bh[i].samples);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ah[i].mean_s), std::bit_cast<std::uint64_t>(bh[i].mean_s));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ah[i].m2), std::bit_cast<std::uint64_t>(bh[i].m2));
+  }
+  const auto ar = a.export_regression();
+  const auto br = b.export_regression();
+  ASSERT_EQ(ar.size(), br.size());
+  for (std::size_t i = 0; i < ar.size(); ++i) {
+    EXPECT_EQ(ar[i].codelet, br[i].codelet);
+    EXPECT_EQ(ar[i].worker, br[i].worker);
+    EXPECT_EQ(ar[i].precision, br[i].precision);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ar[i].sum_xt), std::bit_cast<std::uint64_t>(br[i].sum_xt));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ar[i].sum_xx), std::bit_cast<std::uint64_t>(br[i].sum_xx));
+    EXPECT_EQ(ar[i].samples, br[i].samples);
+  }
+
+  // Replaying into a model that already holds statistics is refused.
+  EXPECT_THROW(rt::replay_calibration(hit.runtime(), record), std::logic_error);
+}
+
+TEST(CalibrationCache, HitLeavesTheFreshCalibrationStateForEveryOperation) {
+  for (const Operation op : {Operation::kGemm, Operation::kPotrf, Operation::kGetrf,
+                             Operation::kGeqrf, Operation::kGelqf}) {
+    for (const hw::Precision precision : {hw::Precision::kDouble, hw::Precision::kSingle}) {
+      ExperimentConfig cfg = small_gemm("HBLB");
+      cfg.op = op;
+      cfg.precision = precision;
+      cfg.nb = 2880;
+      cfg.n = 4 * 2880;
+      if (precision == hw::Precision::kDouble) {
+        expect_hit_matches_fresh_calibration<double>(cfg);
+      } else {
+        expect_hit_matches_fresh_calibration<float>(cfg);
+      }
+      // End to end: a cached run reproduces an uncached one bit for bit.
+      CalibrationCache cache;
+      RunServices services;
+      services.calibration = &cache;
+      const ExperimentResult plain = run_experiment(cfg);
+      const ExperimentResult warm = run_experiment(cfg, services);
+      const ExperimentResult replayed = run_experiment(cfg, services);
+      expect_bit_identical(plain, warm);
+      expect_bit_identical(plain, replayed);
+      EXPECT_GT(cache.hits(), 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -75,15 +75,17 @@ RunResult run_with_faults(const FaultFuzzCase& fc, const std::vector<ScriptTask>
     c.klass = hw::KernelClass::kGeneric;
     c.where = kWhereAny;
     c.cpu_func = [](Task& task) {
-      std::int64_t acc = 0;
+      std::uint64_t acc = 0;
       for (const TaskAccess& a : task.accesses()) {
         if (a.mode != AccessMode::kWrite) {
-          acc = acc * 131 + *static_cast<std::int64_t*>(a.handle->host_ptr());
+          acc = acc * 131 + static_cast<std::uint64_t>(
+                                *static_cast<std::int64_t*>(a.handle->host_ptr()));
         }
       }
       for (const TaskAccess& a : task.accesses()) {
         if (is_write(a.mode)) {
-          *static_cast<std::int64_t*>(a.handle->host_ptr()) = acc * 31 + task.id();
+          *static_cast<std::int64_t*>(a.handle->host_ptr()) =
+              static_cast<std::int64_t>(acc * 31 + static_cast<std::uint64_t>(task.id()));
         }
       }
     };
@@ -166,14 +168,18 @@ TEST_P(FaultFuzz, RandomFaultsPreserveCorrectnessLivenessAndDeterminism) {
   // Sequential reference.
   std::vector<std::int64_t> expected(static_cast<std::size_t>(fc.handles));
   for (int h = 0; h < fc.handles; ++h) expected[static_cast<std::size_t>(h)] = h + 1;
+  // Both sides hash in wrapping unsigned arithmetic: signed overflow would
+  // be undefined behaviour.
   for (std::size_t t = 0; t < script.size(); ++t) {
-    std::int64_t acc = 0;
+    std::uint64_t acc = 0;
     for (const auto& [h, mode] : script[t].accesses) {
-      if (mode != AccessMode::kWrite) acc = acc * 131 + expected[static_cast<std::size_t>(h)];
+      if (mode != AccessMode::kWrite) {
+        acc = acc * 131 + static_cast<std::uint64_t>(expected[static_cast<std::size_t>(h)]);
+      }
     }
     for (const auto& [h, mode] : script[t].accesses) {
       if (is_write(mode)) {
-        expected[static_cast<std::size_t>(h)] = acc * 31 + static_cast<std::int64_t>(t);
+        expected[static_cast<std::size_t>(h)] = static_cast<std::int64_t>(acc * 31 + t);
       }
     }
   }

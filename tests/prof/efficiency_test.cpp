@@ -38,7 +38,8 @@ TEST(Efficiency, AggregatesPerCodeletPerDevice) {
 }
 
 TEST(Efficiency, DerivedMetricsFollowFromAggregates) {
-  const EfficiencyCell& gemm = chain_table()[0];
+  const std::vector<EfficiencyCell> rows = chain_table();
+  const EfficiencyCell& gemm = rows[0];
   EXPECT_DOUBLE_EQ(gemm.gflops(), 1.0);              // 4e9 flops / 4 s
   EXPECT_DOUBLE_EQ(gemm.gflops_per_w(), 4.0 / 600.0);  // 4e9 / 600 J / 1e9
   EXPECT_DOUBLE_EQ(gemm.j_per_task(), 300.0);

@@ -36,16 +36,20 @@ TEST_P(DagFuzz, ParallelExecutionMatchesSequentialReplay) {
   folder.name = "folder";
   folder.klass = hw::KernelClass::kGeneric;
   folder.where = kWhereAny;
+  // Both sides hash in wrapping unsigned arithmetic: signed overflow would
+  // be undefined behaviour.
   folder.cpu_func = [](Task& task) {
-    std::int64_t acc = 0;
+    std::uint64_t acc = 0;
     for (const TaskAccess& a : task.accesses()) {
       if (a.mode != AccessMode::kWrite) {
-        acc = acc * 131 + *static_cast<std::int64_t*>(a.handle->host_ptr());
+        acc = acc * 131 + static_cast<std::uint64_t>(
+                              *static_cast<std::int64_t*>(a.handle->host_ptr()));
       }
     }
     for (const TaskAccess& a : task.accesses()) {
       if (is_write(a.mode)) {
-        *static_cast<std::int64_t*>(a.handle->host_ptr()) = acc * 31 + task.id();
+        *static_cast<std::int64_t*>(a.handle->host_ptr()) =
+            static_cast<std::int64_t>(acc * 31 + static_cast<std::uint64_t>(task.id()));
       }
     }
   };
@@ -74,12 +78,12 @@ TEST_P(DagFuzz, ParallelExecutionMatchesSequentialReplay) {
   std::vector<std::int64_t> expected(fc.handles);
   for (int h = 0; h < fc.handles; ++h) expected[h] = h + 1;
   for (std::size_t t = 0; t < script.size(); ++t) {
-    std::int64_t acc = 0;
+    std::uint64_t acc = 0;
     for (const auto& [h, mode] : script[t].accesses) {
-      if (mode != AccessMode::kWrite) acc = acc * 131 + expected[h];
+      if (mode != AccessMode::kWrite) acc = acc * 131 + static_cast<std::uint64_t>(expected[h]);
     }
     for (const auto& [h, mode] : script[t].accesses) {
-      if (is_write(mode)) expected[h] = acc * 31 + static_cast<std::int64_t>(t);
+      if (is_write(mode)) expected[h] = static_cast<std::int64_t>(acc * 31 + t);
     }
   }
 

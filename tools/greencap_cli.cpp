@@ -18,6 +18,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "core/driver.hpp"
 #include "core/paper_params.hpp"
 #include "hw/presets.hpp"
+#include "power/config.hpp"
 
 using namespace greencap;
 
@@ -96,7 +99,7 @@ int main(int argc, char** argv) {
   bool baseline = false;
   std::int64_t n_value = 0;   // 0 = use the paper's Table II default
   int nb_value = 0;           // 0 = use the paper's Table II default
-  std::string config_text;
+  std::optional<power::GpuConfig> gpu_config;  // unset or empty: all H
   std::string telemetry_json, telemetry_csv, decisions_json, degradation_json;
   bool model_report = false;
   core::DriverFlags flags;
@@ -107,7 +110,15 @@ int main(int argc, char** argv) {
   }
 
   core::FlagParser parser;
-  parser.str("--platform", &cfg.platform);
+  parser.value("--platform", "NAME", [&cfg](const std::string& name) -> std::string {
+    try {
+      (void)hw::presets::platform_by_name(name);
+    } catch (const std::invalid_argument&) {
+      return "expects 24-Intel-2-V100|64-AMD-2-A100|32-AMD-4-A100, got '" + name + "'";
+    }
+    cfg.platform = name;
+    return {};
+  });
   parser.value("--op", "NAME", [&cfg](const std::string& op) -> std::string {
     if (op == "gemm") cfg.op = core::Operation::kGemm;
     else if (op == "potrf") cfg.op = core::Operation::kPotrf;
@@ -125,7 +136,18 @@ int main(int argc, char** argv) {
   });
   parser.i64("--n", &n_value);
   parser.i32("--nb", &nb_value);
-  parser.str("--config", &config_text);
+  parser.value("--config", "CFG", [&gpu_config](const std::string& text) -> std::string {
+    if (text.empty()) {
+      gpu_config.reset();
+      return {};
+    }
+    try {
+      gpu_config = power::GpuConfig::parse(text);
+    } catch (const std::invalid_argument&) {
+      return "expects H/B/L letters, one per GPU, got '" + text + "'";
+    }
+    return {};
+  });
   parser.value("--cpu-cap", "PKG:FRAC", [&cfg](const std::string& spec) -> std::string {
     const auto colon = spec.find(':');
     if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
@@ -182,9 +204,7 @@ int main(int argc, char** argv) {
   }
 
   const std::size_t gpus = hw::presets::platform_by_name(cfg.platform).gpus.size();
-  cfg.gpu_config = config_text.empty()
-                       ? power::GpuConfig::uniform(gpus, power::Level::kHigh)
-                       : power::GpuConfig::parse(config_text);
+  cfg.gpu_config = gpu_config ? *gpu_config : power::GpuConfig::uniform(gpus, power::Level::kHigh);
 
   cfg.resilience = flags.resilience;
   // Derive the observability switches from the requested outputs.
