@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "ckpt/signal.hpp"
+#include "fault/fault_plan.hpp"
 #include "obs/artifact.hpp"
 #include "obs/trace_export.hpp"
 #include "prof/html_report.hpp"
@@ -20,7 +21,17 @@ void DriverFlags::register_on(FlagParser& parser) {
   parser.str("--profile-json", &profile_json);
   parser.str("--profile-html", &profile_html);
   parser.f64("--telemetry-period-ms", &telemetry_period_ms);
-  parser.str("--faults", &resilience.faults);
+  parser.value("--faults", "SPEC", [this](const std::string& spec) -> std::string {
+    if (!spec.empty()) {
+      try {
+        (void)fault::FaultPlan::parse(spec);
+      } catch (const std::exception& e) {
+        return std::string{"expects a fault plan (kind@gpuN:key=val,... or @FILE): "} + e.what();
+      }
+    }
+    resilience.faults = spec;
+    return {};
+  });
   parser.u64("--fault-seed", &resilience.fault_seed);
   parser.f64("--reconcile-ms", &resilience.reconcile_ms);
   parser.flag("--degrade", &resilience.degrade);

@@ -34,8 +34,8 @@ double operation_flops(Operation op, double n) {
     case Operation::kGemm: return la::flops::gemm_total(n);
     case Operation::kPotrf: return la::flops::cholesky_total(n);
     case Operation::kGetrf: return la::flops_lu::lu_total(n);
-    case Operation::kGeqrf: return la::flops_qr::geqrf_total(n);
-    case Operation::kGelqf: return la::flops_lq::gelqf_total(n);
+    case Operation::kGeqrf:  // LQ is QR of the transpose: same count
+    case Operation::kGelqf: return la::flops_qr::geqrf_total(n);
   }
   return 0.0;
 }

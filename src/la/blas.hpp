@@ -99,46 +99,6 @@ void trsm_right_lower_trans(int m, int n, const T* l, int ldl, T* b, int ldb) {
   }
 }
 
-/// Triangular solve, left/lower/non-unit, no transpose:
-/// B(m x n) := L^{-1} * B — the forward-substitution sweep of POTRS.
-template <typename T>
-void trsm_left_lower_notrans(int m, int n, const T* l, int ldl, T* b, int ldb) {
-  for (int j = 0; j < n; ++j) {
-    T* bj = b + static_cast<std::size_t>(j) * ldb;
-    for (int i = 0; i < m; ++i) {
-      T acc = bj[i];
-      for (int p = 0; p < i; ++p) {
-        acc -= l[i + static_cast<std::size_t>(p) * ldl] * bj[p];
-      }
-      const T lii = l[i + static_cast<std::size_t>(i) * ldl];
-      if (lii == T{}) {
-        throw std::runtime_error("trsm: singular triangular factor");
-      }
-      bj[i] = acc / lii;
-    }
-  }
-}
-
-/// Triangular solve, left/lower/non-unit, TRANSPOSE:
-/// B(m x n) := L^{-T} * B — the backward-substitution sweep of POTRS.
-template <typename T>
-void trsm_left_lower_trans(int m, int n, const T* l, int ldl, T* b, int ldb) {
-  for (int j = 0; j < n; ++j) {
-    T* bj = b + static_cast<std::size_t>(j) * ldb;
-    for (int i = m - 1; i >= 0; --i) {
-      T acc = bj[i];
-      for (int p = i + 1; p < m; ++p) {
-        acc -= l[p + static_cast<std::size_t>(i) * ldl] * bj[p];
-      }
-      const T lii = l[i + static_cast<std::size_t>(i) * ldl];
-      if (lii == T{}) {
-        throw std::runtime_error("trsm: singular triangular factor");
-      }
-      bj[i] = acc / lii;
-    }
-  }
-}
-
 /// Triangular solve, left/lower/unit: B(m x n) := L^{-1} * B with L
 /// unit-lower-triangular (m x m) — the U-panel update of tile LU.
 template <typename T>

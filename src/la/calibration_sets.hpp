@@ -5,7 +5,6 @@
 
 #include "la/codelets.hpp"
 #include "la/flops.hpp"
-#include "la/tile_matrix.hpp"
 #include "rt/calibration.hpp"
 
 namespace greencap::la {
@@ -16,31 +15,14 @@ namespace greencap::la {
 template <typename T>
 void calibrate_codelets(rt::Calibrator& calibrator, const Codelets<T>& cl,
                         const std::vector<int>& tile_sizes, int samples_per_point = 3) {
-  auto works = [&](hw::KernelClass klass, auto flops_of) {
-    std::vector<hw::KernelWork> out;
-    out.reserve(tile_sizes.size());
-    for (int nb : tile_sizes) {
-      out.push_back(hw::KernelWork{
-          .klass = klass,
-          .precision = scalar_traits<T>::precision,
-          .flops = flops_of(nb),
-          .work_dim = static_cast<double>(nb),
-      });
-    }
-    return out;
-  };
-  calibrator.calibrate(cl.gemm(), works(hw::KernelClass::kGemm,
-                                        [](int nb) { return flops::gemm(nb); }),
-                       samples_per_point);
-  calibrator.calibrate(cl.syrk(), works(hw::KernelClass::kSyrk,
-                                        [](int nb) { return flops::syrk(nb, nb); }),
-                       samples_per_point);
-  calibrator.calibrate(cl.trsm(), works(hw::KernelClass::kTrsm,
-                                        [](int nb) { return flops::trsm(nb, nb); }),
-                       samples_per_point);
-  calibrator.calibrate(cl.potrf(), works(hw::KernelClass::kPotrf,
-                                         [](int nb) { return flops::potrf(nb); }),
-                       samples_per_point);
+  calibrate_kernel<T>(calibrator, cl.gemm(), [](double nb) { return flops::gemm(nb); },
+                      tile_sizes, samples_per_point);
+  calibrate_kernel<T>(calibrator, cl.syrk(), [](double nb) { return flops::syrk(nb, nb); },
+                      tile_sizes, samples_per_point);
+  calibrate_kernel<T>(calibrator, cl.trsm(), [](double nb) { return flops::trsm(nb, nb); },
+                      tile_sizes, samples_per_point);
+  calibrate_kernel<T>(calibrator, cl.potrf(), [](double nb) { return flops::potrf(nb); },
+                      tile_sizes, samples_per_point);
 }
 
 }  // namespace greencap::la

@@ -15,27 +15,15 @@
 // strict upper triangle and the tau workspace.
 #pragma once
 
-#include <any>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
-#include "hw/kernel_work.hpp"
 #include "la/codelets.hpp"
-#include "la/operations.hpp"
-#include "la/qr.hpp"  // flops are transpose-symmetric; reuse QrWorkspace shape
+#include "la/qr.hpp"  // flops are transpose-symmetric; reuse flops_qr and QrWorkspace
 #include "la/tile_matrix.hpp"
-#include "rt/calibration.hpp"
-#include "rt/runtime.hpp"
 
 namespace greencap::la {
-
-namespace flops_lq {
-[[nodiscard]] constexpr double gelqf_total(double n) { return 4.0 * n * n * n / 3.0; }
-[[nodiscard]] constexpr double gelqt(double nb) { return 4.0 * nb * nb * nb / 3.0; }
-[[nodiscard]] constexpr double unmlq(double nb) { return 2.0 * nb * nb * nb; }
-[[nodiscard]] constexpr double tslqt(double nb) { return 2.0 * nb * nb * nb; }
-[[nodiscard]] constexpr double tsmlq(double nb) { return 4.0 * nb * nb * nb; }
-}  // namespace flops_lq
 
 // -- row-wise Householder kernels --------------------------------------------
 
@@ -150,68 +138,37 @@ void tpmlqt_right_trans(int m, int n, int k, const T* v2, int ldv, const T* tau,
 
 // -- codelets & builder --------------------------------------------------------
 
+/// The four tile-LQ codelets. Access orders documented per kernel below.
 template <typename T>
 class LqCodelets {
  public:
-  LqCodelets() {
-    const char* s = scalar_traits<T>::suffix;
-
-    // gelqt: A_kk (RW), tau (W)
-    gelqt_.name = std::string{s} + "gelqt";
-    gelqt_.klass = hw::KernelClass::kQrPanel;
-    gelqt_.where = rt::kWhereAny;
-    gelqt_.cpu_func = [](rt::Task& task) {
-      if (!detail::has_storage<T>(task)) return;
-      const auto& args = std::any_cast<const TileArgs<T>&>(task.arg);
-      gelq2<T>(args.nb, args.nb, detail::tile_ptr<T>(task, 0), args.nb,
-               detail::tile_ptr<T>(task, 1));
-    };
-
-    // unmlq: V = A_kk (R), tau (R), C = A_mk (RW)
-    unmlq_.name = std::string{s} + "unmlq";
-    unmlq_.klass = hw::KernelClass::kQrApply;
-    unmlq_.where = rt::kWhereAny;
-    unmlq_.cpu_func = [](rt::Task& task) {
-      if (!detail::has_storage<T>(task)) return;
-      const auto& args = std::any_cast<const TileArgs<T>&>(task.arg);
-      orml2_right_trans<T>(args.nb, args.nb, args.nb, detail::tile_ptr<T>(task, 0), args.nb,
-                           detail::tile_ptr<T>(task, 1), detail::tile_ptr<T>(task, 2), args.nb);
-    };
-
-    // tslqt: L = A_kk (RW), B/V2 = A_kj (RW), tau (W)
-    tslqt_.name = std::string{s} + "tslqt";
-    tslqt_.klass = hw::KernelClass::kQrPanel;
-    tslqt_.where = rt::kWhereAny;
-    tslqt_.cpu_func = [](rt::Task& task) {
-      if (!detail::has_storage<T>(task)) return;
-      const auto& args = std::any_cast<const TileArgs<T>&>(task.arg);
-      tplqt2<T>(args.nb, args.nb, detail::tile_ptr<T>(task, 0), args.nb,
-                detail::tile_ptr<T>(task, 1), args.nb, detail::tile_ptr<T>(task, 2));
-    };
-
-    // tsmlq: V2 = A_kj (R), tau (R), C1 = A_mk (RW), C2 = A_mj (RW)
-    tsmlq_.name = std::string{s} + "tsmlq";
-    tsmlq_.klass = hw::KernelClass::kQrApply;
-    tsmlq_.where = rt::kWhereAny;
-    tsmlq_.cpu_func = [](rt::Task& task) {
-      if (!detail::has_storage<T>(task)) return;
-      const auto& args = std::any_cast<const TileArgs<T>&>(task.arg);
-      tpmlqt_right_trans<T>(args.nb, args.nb, args.nb, detail::tile_ptr<T>(task, 0), args.nb,
-                            detail::tile_ptr<T>(task, 1), detail::tile_ptr<T>(task, 2), args.nb,
-                            detail::tile_ptr<T>(task, 3), args.nb);
-    };
-  }
-
   [[nodiscard]] const rt::Codelet& gelqt() const { return gelqt_; }
   [[nodiscard]] const rt::Codelet& unmlq() const { return unmlq_; }
   [[nodiscard]] const rt::Codelet& tslqt() const { return tslqt_; }
   [[nodiscard]] const rt::Codelet& tsmlq() const { return tsmlq_; }
 
  private:
-  rt::Codelet gelqt_;
-  rt::Codelet unmlq_;
-  rt::Codelet tslqt_;
-  rt::Codelet tsmlq_;
+  using Tiles = detail::Tiles<T>;
+
+  // gelqt: A_kk (RW), tau (W)
+  rt::Codelet gelqt_ = tile_codelet<T, TileArgs<T>>(
+      "gelqt", hw::KernelClass::kQrPanel,
+      [](const TileArgs<T>& a, Tiles t) { gelq2<T>(a.nb, a.nb, t[0], a.nb, t[1]); });
+  // unmlq: V = A_kk (R), tau (R), C = A_mk (RW)
+  rt::Codelet unmlq_ = tile_codelet<T, TileArgs<T>>(
+      "unmlq", hw::KernelClass::kQrApply, [](const TileArgs<T>& a, Tiles t) {
+        orml2_right_trans<T>(a.nb, a.nb, a.nb, t[0], a.nb, t[1], t[2], a.nb);
+      });
+  // tslqt: L = A_kk (RW), B/V2 = A_kj (RW), tau (W)
+  rt::Codelet tslqt_ = tile_codelet<T, TileArgs<T>>(
+      "tslqt", hw::KernelClass::kQrPanel, [](const TileArgs<T>& a, Tiles t) {
+        tplqt2<T>(a.nb, a.nb, t[0], a.nb, t[1], a.nb, t[2]);
+      });
+  // tsmlq: V2 = A_kj (R), tau (R), C1 = A_mk (RW), C2 = A_mj (RW)
+  rt::Codelet tsmlq_ = tile_codelet<T, TileArgs<T>>(
+      "tsmlq", hw::KernelClass::kQrApply, [](const TileArgs<T>& a, Tiles t) {
+        tpmlqt_right_trans<T>(a.nb, a.nb, a.nb, t[0], a.nb, t[1], t[2], a.nb, t[3], a.nb);
+      });
 };
 
 /// Submits the flat-tree tile LQ of A in place. Reuses QrWorkspace for the
@@ -224,54 +181,34 @@ void submit_gelqf(rt::Runtime& runtime, const LqCodelets<T>& cl, TileMatrix<T>& 
   const auto base = [nt](int k) { return static_cast<std::int64_t>(nt - k) * 4096; };
 
   for (int k = 0; k < nt; ++k) {
-    {
-      rt::TaskDesc desc;
-      desc.codelet = &cl.gelqt();
-      desc.accesses = {{a.handle(k, k), rt::AccessMode::kReadWrite},
-                       {workspace.panel_tau(k), rt::AccessMode::kWrite}};
-      desc.work = detail::make_work<T>(hw::KernelClass::kQrPanel, flops_lq::gelqt(nb), nb);
-      desc.priority = base(k) + 3 * 1024;
-      desc.label = detail::idx_label("gelqt", k, k);
-      desc.arg = TileArgs<T>{nb, T{1}};
-      runtime.submit(std::move(desc));
-    }
+    submit_tile<T>(runtime, cl.gelqt(),
+                   {{a.handle(k, k), rt::AccessMode::kReadWrite},
+                    {workspace.panel_tau(k), rt::AccessMode::kWrite}},
+                   flops_qr::geqrt(nb), nb, base(k) + 3 * 1024, {"gelqt", k, k},
+                   TileArgs<T>{nb, T{1}});
     for (int m = k + 1; m < nt; ++m) {
-      rt::TaskDesc desc;
-      desc.codelet = &cl.unmlq();
-      desc.accesses = {{a.handle(k, k), rt::AccessMode::kRead},
-                       {workspace.panel_tau(k), rt::AccessMode::kRead},
-                       {a.handle(m, k), rt::AccessMode::kReadWrite}};
-      desc.work = detail::make_work<T>(hw::KernelClass::kQrApply, flops_lq::unmlq(nb), nb);
-      desc.priority = base(k) + 2 * 1024 - (m - k - 1);
-      desc.label = detail::idx_label("unmlq", m, k);
-      desc.arg = TileArgs<T>{nb, T{1}};
-      runtime.submit(std::move(desc));
+      submit_tile<T>(runtime, cl.unmlq(),
+                     {{a.handle(k, k), rt::AccessMode::kRead},
+                      {workspace.panel_tau(k), rt::AccessMode::kRead},
+                      {a.handle(m, k), rt::AccessMode::kReadWrite}},
+                     flops_qr::unmqr(nb), nb, base(k) + 2 * 1024 - (m - k - 1), {"unmlq", m, k},
+                     TileArgs<T>{nb, T{1}});
     }
     for (int j = k + 1; j < nt; ++j) {
-      {
-        rt::TaskDesc desc;
-        desc.codelet = &cl.tslqt();
-        desc.accesses = {{a.handle(k, k), rt::AccessMode::kReadWrite},
-                         {a.handle(k, j), rt::AccessMode::kReadWrite},
-                         {workspace.ts_tau(j, k), rt::AccessMode::kWrite}};
-        desc.work = detail::make_work<T>(hw::KernelClass::kQrPanel, flops_lq::tslqt(nb), nb);
-        desc.priority = base(k) + 2 * 1024 - (j - k - 1);
-        desc.label = detail::idx_label("tslqt", k, j);
-        desc.arg = TileArgs<T>{nb, T{1}};
-        runtime.submit(std::move(desc));
-      }
+      submit_tile<T>(runtime, cl.tslqt(),
+                     {{a.handle(k, k), rt::AccessMode::kReadWrite},
+                      {a.handle(k, j), rt::AccessMode::kReadWrite},
+                      {workspace.ts_tau(j, k), rt::AccessMode::kWrite}},
+                     flops_qr::tsqrt(nb), nb, base(k) + 2 * 1024 - (j - k - 1), {"tslqt", k, j},
+                     TileArgs<T>{nb, T{1}});
       for (int m = k + 1; m < nt; ++m) {
-        rt::TaskDesc desc;
-        desc.codelet = &cl.tsmlq();
-        desc.accesses = {{a.handle(k, j), rt::AccessMode::kRead},
-                         {workspace.ts_tau(j, k), rt::AccessMode::kRead},
-                         {a.handle(m, k), rt::AccessMode::kReadWrite},
-                         {a.handle(m, j), rt::AccessMode::kReadWrite}};
-        desc.work = detail::make_work<T>(hw::KernelClass::kQrApply, flops_lq::tsmlq(nb), nb);
-        desc.priority = base(k) + 1024 - (m - k) - (j - k);
-        desc.label = detail::idx_label("tsmlq", m, j, k);
-        desc.arg = TileArgs<T>{nb, T{1}};
-        runtime.submit(std::move(desc));
+        submit_tile<T>(runtime, cl.tsmlq(),
+                       {{a.handle(k, j), rt::AccessMode::kRead},
+                        {workspace.ts_tau(j, k), rt::AccessMode::kRead},
+                        {a.handle(m, k), rt::AccessMode::kReadWrite},
+                        {a.handle(m, j), rt::AccessMode::kReadWrite}},
+                       flops_qr::tsmqr(nb), nb, base(k) + 1024 - (m - k) - (j - k),
+                       {"tsmlq", m, j, k}, TileArgs<T>{nb, T{1}});
       }
     }
   }
@@ -286,27 +223,14 @@ void submit_gelqf(rt::Runtime& runtime, const LqCodelets<T>& cl, TileMatrix<T>& 
 template <typename T>
 void calibrate_lq_codelets(rt::Calibrator& calibrator, const LqCodelets<T>& cl,
                            const std::vector<int>& tile_sizes, int samples_per_point = 3) {
-  auto works = [&](hw::KernelClass klass, auto flops_of) {
-    std::vector<hw::KernelWork> out;
-    out.reserve(tile_sizes.size());
-    for (int nb : tile_sizes) {
-      out.push_back(hw::KernelWork{klass, scalar_traits<T>::precision, flops_of(nb),
-                                   static_cast<double>(nb)});
-    }
-    return out;
-  };
-  calibrator.calibrate(cl.gelqt(), works(hw::KernelClass::kQrPanel,
-                                         [](int nb) { return flops_lq::gelqt(nb); }),
-                       samples_per_point);
-  calibrator.calibrate(cl.unmlq(), works(hw::KernelClass::kQrApply,
-                                         [](int nb) { return flops_lq::unmlq(nb); }),
-                       samples_per_point);
-  calibrator.calibrate(cl.tslqt(), works(hw::KernelClass::kQrPanel,
-                                         [](int nb) { return flops_lq::tslqt(nb); }),
-                       samples_per_point);
-  calibrator.calibrate(cl.tsmlq(), works(hw::KernelClass::kQrApply,
-                                         [](int nb) { return flops_lq::tsmlq(nb); }),
-                       samples_per_point);
+  calibrate_kernel<T>(calibrator, cl.gelqt(), [](double nb) { return flops_qr::geqrt(nb); },
+                      tile_sizes, samples_per_point);
+  calibrate_kernel<T>(calibrator, cl.unmlq(), [](double nb) { return flops_qr::unmqr(nb); },
+                      tile_sizes, samples_per_point);
+  calibrate_kernel<T>(calibrator, cl.tslqt(), [](double nb) { return flops_qr::tsqrt(nb); },
+                      tile_sizes, samples_per_point);
+  calibrate_kernel<T>(calibrator, cl.tsmlq(), [](double nb) { return flops_qr::tsmqr(nb); },
+                      tile_sizes, samples_per_point);
 }
 
 }  // namespace greencap::la

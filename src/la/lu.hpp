@@ -10,17 +10,13 @@
 //                   GEMM(A_ij) -= A_ik A_kj         for i, j > k
 #pragma once
 
-#include <any>
 #include <cstdint>
+#include <vector>
 
-#include "hw/kernel_work.hpp"
 #include "la/blas.hpp"
 #include "la/codelets.hpp"
 #include "la/flops.hpp"
-#include "la/operations.hpp"
 #include "la/tile_matrix.hpp"
-#include "rt/calibration.hpp"
-#include "rt/runtime.hpp"
 
 namespace greencap::la {
 
@@ -40,48 +36,25 @@ namespace flops_lu {
 template <typename T>
 class LuCodelets {
  public:
-  LuCodelets() {
-    const char* s = scalar_traits<T>::suffix;
-
-    getrf_.name = std::string{s} + "getrf";
-    getrf_.klass = hw::KernelClass::kGetrf;
-    getrf_.where = rt::kWhereAny;
-    getrf_.cpu_func = [](rt::Task& task) {
-      if (!detail::has_storage<T>(task)) return;
-      const auto& args = std::any_cast<const TileArgs<T>&>(task.arg);
-      la::getrf_nopiv<T>(args.nb, detail::tile_ptr<T>(task, 0), args.nb);
-    };
-
-    trsm_u_.name = std::string{s} + "trsm_llu";
-    trsm_u_.klass = hw::KernelClass::kTrsm;
-    trsm_u_.where = rt::kWhereAny;
-    trsm_u_.cpu_func = [](rt::Task& task) {
-      if (!detail::has_storage<T>(task)) return;
-      const auto& args = std::any_cast<const TileArgs<T>&>(task.arg);
-      la::trsm_left_lower_unit<T>(args.nb, args.nb, detail::tile_ptr<T>(task, 0), args.nb,
-                                  detail::tile_ptr<T>(task, 1), args.nb);
-    };
-
-    trsm_l_.name = std::string{s} + "trsm_run";
-    trsm_l_.klass = hw::KernelClass::kTrsm;
-    trsm_l_.where = rt::kWhereAny;
-    trsm_l_.cpu_func = [](rt::Task& task) {
-      if (!detail::has_storage<T>(task)) return;
-      const auto& args = std::any_cast<const TileArgs<T>&>(task.arg);
-      la::trsm_right_upper_nonunit<T>(args.nb, args.nb, detail::tile_ptr<T>(task, 0), args.nb,
-                                      detail::tile_ptr<T>(task, 1), args.nb);
-    };
-  }
-
   [[nodiscard]] const rt::Codelet& getrf() const { return getrf_; }
   [[nodiscard]] const rt::Codelet& trsm_u() const { return trsm_u_; }
   [[nodiscard]] const rt::Codelet& trsm_l() const { return trsm_l_; }
   [[nodiscard]] const rt::Codelet& gemm() const { return blas3_.gemm(); }
 
  private:
-  rt::Codelet getrf_;
-  rt::Codelet trsm_u_;
-  rt::Codelet trsm_l_;
+  using Tiles = detail::Tiles<T>;
+
+  rt::Codelet getrf_ = tile_codelet<T, TileArgs<T>>(
+      "getrf", hw::KernelClass::kGetrf,
+      [](const TileArgs<T>& a, Tiles t) { la::getrf_nopiv<T>(a.nb, t[0], a.nb); });
+  rt::Codelet trsm_u_ = tile_codelet<T, TileArgs<T>>(
+      "trsm_llu", hw::KernelClass::kTrsm, [](const TileArgs<T>& a, Tiles t) {
+        la::trsm_left_lower_unit<T>(a.nb, a.nb, t[0], a.nb, t[1], a.nb);
+      });
+  rt::Codelet trsm_l_ = tile_codelet<T, TileArgs<T>>(
+      "trsm_run", hw::KernelClass::kTrsm, [](const TileArgs<T>& a, Tiles t) {
+        la::trsm_right_upper_nonunit<T>(a.nb, a.nb, t[0], a.nb, t[1], a.nb);
+      });
   Codelets<T> blas3_;
 };
 
@@ -93,50 +66,32 @@ void submit_getrf(rt::Runtime& runtime, const LuCodelets<T>& cl, TileMatrix<T>& 
   const auto base = [nt](int k) { return static_cast<std::int64_t>(nt - k) * 4096; };
 
   for (int k = 0; k < nt; ++k) {
-    {
-      rt::TaskDesc desc;
-      desc.codelet = &cl.getrf();
-      desc.accesses = {{a.handle(k, k), rt::AccessMode::kReadWrite}};
-      desc.work = detail::make_work<T>(hw::KernelClass::kGetrf, flops_lu::getrf(nb), nb);
-      desc.priority = base(k) + 3 * 1024;
-      desc.label = detail::idx_label("getrf", k, k);
-      desc.arg = TileArgs<T>{nb, T{1}};
-      runtime.submit(std::move(desc));
-    }
+    submit_tile<T>(runtime, cl.getrf(), {{a.handle(k, k), rt::AccessMode::kReadWrite}},
+                   flops_lu::getrf(nb), nb, base(k) + 3 * 1024, {"getrf", k, k},
+                   TileArgs<T>{nb, T{1}});
     for (int j = k + 1; j < nt; ++j) {
-      rt::TaskDesc desc;
-      desc.codelet = &cl.trsm_u();
-      desc.accesses = {{a.handle(k, k), rt::AccessMode::kRead},
-                       {a.handle(k, j), rt::AccessMode::kReadWrite}};
-      desc.work = detail::make_work<T>(hw::KernelClass::kTrsm, flops::trsm(nb, nb), nb);
-      desc.priority = base(k) + 2 * 1024 - (j - k - 1);
-      desc.label = detail::idx_label("trsm_u", k, j);
-      desc.arg = TileArgs<T>{nb, T{1}};
-      runtime.submit(std::move(desc));
+      submit_tile<T>(runtime, cl.trsm_u(),
+                     {{a.handle(k, k), rt::AccessMode::kRead},
+                      {a.handle(k, j), rt::AccessMode::kReadWrite}},
+                     flops::trsm(nb, nb), nb, base(k) + 2 * 1024 - (j - k - 1), {"trsm_u", k, j},
+                     TileArgs<T>{nb, T{1}});
     }
     for (int i = k + 1; i < nt; ++i) {
-      rt::TaskDesc desc;
-      desc.codelet = &cl.trsm_l();
-      desc.accesses = {{a.handle(k, k), rt::AccessMode::kRead},
-                       {a.handle(i, k), rt::AccessMode::kReadWrite}};
-      desc.work = detail::make_work<T>(hw::KernelClass::kTrsm, flops::trsm(nb, nb), nb);
-      desc.priority = base(k) + 2 * 1024 - (i - k - 1);
-      desc.label = detail::idx_label("trsm_l", i, k);
-      desc.arg = TileArgs<T>{nb, T{1}};
-      runtime.submit(std::move(desc));
+      submit_tile<T>(runtime, cl.trsm_l(),
+                     {{a.handle(k, k), rt::AccessMode::kRead},
+                      {a.handle(i, k), rt::AccessMode::kReadWrite}},
+                     flops::trsm(nb, nb), nb, base(k) + 2 * 1024 - (i - k - 1), {"trsm_l", i, k},
+                     TileArgs<T>{nb, T{1}});
     }
     for (int i = k + 1; i < nt; ++i) {
       for (int j = k + 1; j < nt; ++j) {
-        rt::TaskDesc desc;
-        desc.codelet = &cl.gemm();
-        desc.accesses = {{a.handle(i, k), rt::AccessMode::kRead},
-                         {a.handle(k, j), rt::AccessMode::kRead},
-                         {a.handle(i, j), rt::AccessMode::kReadWrite}};
-        desc.work = detail::make_work<T>(hw::KernelClass::kGemm, flops::gemm(nb), nb);
-        desc.priority = base(k) + 1024 - (i - k) - (j - k);
-        desc.label = detail::idx_label("gemm_lu", i, j, k);
-        desc.arg = GemmArgs<T>{nb, T{-1}, T{1}, /*trans_a=*/false, /*trans_b=*/false};
-        runtime.submit(std::move(desc));
+        submit_tile<T>(runtime, cl.gemm(),
+                       {{a.handle(i, k), rt::AccessMode::kRead},
+                        {a.handle(k, j), rt::AccessMode::kRead},
+                        {a.handle(i, j), rt::AccessMode::kReadWrite}},
+                       flops::gemm(nb), nb, base(k) + 1024 - (i - k) - (j - k),
+                       {"gemm_lu", i, j, k},
+                       GemmArgs<T>{nb, T{-1}, T{1}, /*trans_a=*/false, /*trans_b=*/false});
       }
     }
   }
@@ -147,27 +102,14 @@ void submit_getrf(rt::Runtime& runtime, const LuCodelets<T>& cl, TileMatrix<T>& 
 template <typename T>
 void calibrate_lu_codelets(rt::Calibrator& calibrator, const LuCodelets<T>& cl,
                            const std::vector<int>& tile_sizes, int samples_per_point = 3) {
-  auto works = [&](hw::KernelClass klass, auto flops_of) {
-    std::vector<hw::KernelWork> out;
-    out.reserve(tile_sizes.size());
-    for (int nb : tile_sizes) {
-      out.push_back(hw::KernelWork{klass, scalar_traits<T>::precision, flops_of(nb),
-                                   static_cast<double>(nb)});
-    }
-    return out;
-  };
-  calibrator.calibrate(cl.getrf(), works(hw::KernelClass::kGetrf,
-                                         [](int nb) { return flops_lu::getrf(nb); }),
-                       samples_per_point);
-  calibrator.calibrate(cl.trsm_u(), works(hw::KernelClass::kTrsm,
-                                          [](int nb) { return flops::trsm(nb, nb); }),
-                       samples_per_point);
-  calibrator.calibrate(cl.trsm_l(), works(hw::KernelClass::kTrsm,
-                                          [](int nb) { return flops::trsm(nb, nb); }),
-                       samples_per_point);
-  calibrator.calibrate(cl.gemm(), works(hw::KernelClass::kGemm,
-                                        [](int nb) { return flops::gemm(nb); }),
-                       samples_per_point);
+  calibrate_kernel<T>(calibrator, cl.getrf(), [](double nb) { return flops_lu::getrf(nb); },
+                      tile_sizes, samples_per_point);
+  calibrate_kernel<T>(calibrator, cl.trsm_u(), [](double nb) { return flops::trsm(nb, nb); },
+                      tile_sizes, samples_per_point);
+  calibrate_kernel<T>(calibrator, cl.trsm_l(), [](double nb) { return flops::trsm(nb, nb); },
+                      tile_sizes, samples_per_point);
+  calibrate_kernel<T>(calibrator, cl.gemm(), [](double nb) { return flops::gemm(nb); },
+                      tile_sizes, samples_per_point);
 }
 
 /// Task count of the tiled LU DAG: sum over panels of

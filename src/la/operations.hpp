@@ -10,37 +10,14 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <stdexcept>
 
-#include "hw/kernel_work.hpp"
 #include "la/codelets.hpp"
 #include "la/flops.hpp"
 #include "la/tile_matrix.hpp"
 #include "rt/runtime.hpp"
 
 namespace greencap::la {
-
-namespace detail {
-
-template <typename T>
-[[nodiscard]] hw::KernelWork make_work(hw::KernelClass klass, double flops, int nb) {
-  return hw::KernelWork{
-      .klass = klass,
-      .precision = scalar_traits<T>::precision,
-      .flops = flops,
-      .work_dim = static_cast<double>(nb),
-  };
-}
-
-[[nodiscard]] inline std::string idx_label(const char* op, int a, int b, int c = -1) {
-  std::string out = op;
-  out += '(' + std::to_string(a) + ',' + std::to_string(b);
-  if (c >= 0) out += ',' + std::to_string(c);
-  out += ')';
-  return out;
-}
-
-}  // namespace detail
 
 /// Transposition selector for submit_gemm (BLAS's CblasNoTrans/CblasTrans).
 enum class Trans : bool { kNoTrans = false, kTrans = true };
@@ -63,18 +40,15 @@ void submit_gemm(rt::Runtime& runtime, const Codelets<T>& cl, TileMatrix<T>& a, 
   for (int j = 0; j < nt; ++j) {
     for (int i = 0; i < nt; ++i) {
       for (int k = 0; k < nt; ++k) {
-        rt::TaskDesc desc;
-        desc.codelet = &cl.gemm();
         // op(A)'s tile (i, k) lives at (k, i) when A is transposed; the
-        // kernel then transposes within the tile. Likewise for B.
-        desc.accesses = {{a.handle(ta ? k : i, ta ? i : k), rt::AccessMode::kRead},
-                         {b.handle(tb ? j : k, tb ? k : j), rt::AccessMode::kRead},
-                         {c.handle(i, j), rt::AccessMode::kReadWrite}};
-        desc.work = detail::make_work<T>(hw::KernelClass::kGemm, flops::gemm(nb), nb);
-        desc.priority = k;  // deeper chain position = more urgent
-        desc.label = detail::idx_label("gemm", i, j, k);
-        desc.arg = GemmArgs<T>{nb, alpha, k == 0 ? beta : T{1}, ta, tb};
-        runtime.submit(std::move(desc));
+        // kernel then transposes within the tile. Likewise for B. Deeper
+        // chain position = more urgent.
+        submit_tile<T>(runtime, cl.gemm(),
+                       {{a.handle(ta ? k : i, ta ? i : k), rt::AccessMode::kRead},
+                        {b.handle(tb ? j : k, tb ? k : j), rt::AccessMode::kRead},
+                        {c.handle(i, j), rt::AccessMode::kReadWrite}},
+                       flops::gemm(nb), nb, k, {"gemm", i, j, k},
+                       GemmArgs<T>{nb, alpha, k == 0 ? beta : T{1}, ta, tb});
       }
     }
   }
@@ -93,52 +67,31 @@ void submit_potrf(rt::Runtime& runtime, const Codelets<T>& cl, TileMatrix<T>& a)
   const auto base = [nt](int k) { return static_cast<std::int64_t>(nt - k) * 4096; };
 
   for (int k = 0; k < nt; ++k) {
-    {
-      rt::TaskDesc desc;
-      desc.codelet = &cl.potrf();
-      desc.accesses = {{a.handle(k, k), rt::AccessMode::kReadWrite}};
-      desc.work = detail::make_work<T>(hw::KernelClass::kPotrf, flops::potrf(nb), nb);
-      desc.priority = base(k) + 3 * 1024;
-      desc.label = detail::idx_label("potrf", k, k);
-      desc.arg = TileArgs<T>{nb, T{1}};
-      runtime.submit(std::move(desc));
-    }
+    submit_tile<T>(runtime, cl.potrf(), {{a.handle(k, k), rt::AccessMode::kReadWrite}},
+                   flops::potrf(nb), nb, base(k) + 3 * 1024, {"potrf", k, k},
+                   TileArgs<T>{nb, T{1}});
     for (int m = k + 1; m < nt; ++m) {
-      rt::TaskDesc desc;
-      desc.codelet = &cl.trsm();
-      desc.accesses = {{a.handle(k, k), rt::AccessMode::kRead},
-                       {a.handle(m, k), rt::AccessMode::kReadWrite}};
-      desc.work = detail::make_work<T>(hw::KernelClass::kTrsm, flops::trsm(nb, nb), nb);
       // The m = k+1 TRSM feeds the next panel: most urgent of its wave.
-      desc.priority = base(k) + 2 * 1024 - (m - k - 1);
-      desc.label = detail::idx_label("trsm", m, k);
-      desc.arg = TileArgs<T>{nb, T{1}};
-      runtime.submit(std::move(desc));
+      submit_tile<T>(runtime, cl.trsm(),
+                     {{a.handle(k, k), rt::AccessMode::kRead},
+                      {a.handle(m, k), rt::AccessMode::kReadWrite}},
+                     flops::trsm(nb, nb), nb, base(k) + 2 * 1024 - (m - k - 1), {"trsm", m, k},
+                     TileArgs<T>{nb, T{1}});
     }
     for (int m = k + 1; m < nt; ++m) {
-      {
-        rt::TaskDesc desc;
-        desc.codelet = &cl.syrk();
-        desc.accesses = {{a.handle(m, k), rt::AccessMode::kRead},
-                         {a.handle(m, m), rt::AccessMode::kReadWrite}};
-        desc.work = detail::make_work<T>(hw::KernelClass::kSyrk, flops::syrk(nb, nb), nb);
-        desc.priority = base(k) + 1024 - (m - k - 1);
-        desc.label = detail::idx_label("syrk", m, k);
-        desc.arg = TileArgs<T>{nb, T{-1}};
-        runtime.submit(std::move(desc));
-      }
+      submit_tile<T>(runtime, cl.syrk(),
+                     {{a.handle(m, k), rt::AccessMode::kRead},
+                      {a.handle(m, m), rt::AccessMode::kReadWrite}},
+                     flops::syrk(nb, nb), nb, base(k) + 1024 - (m - k - 1), {"syrk", m, k},
+                     TileArgs<T>{nb, T{-1}});
       for (int n = k + 1; n < m; ++n) {
-        rt::TaskDesc desc;
-        desc.codelet = &cl.gemm();
-        desc.accesses = {{a.handle(m, k), rt::AccessMode::kRead},
-                         {a.handle(n, k), rt::AccessMode::kRead},
-                         {a.handle(m, n), rt::AccessMode::kReadWrite}};
-        desc.work = detail::make_work<T>(hw::KernelClass::kGemm, flops::gemm(nb), nb);
-        desc.priority = base(k) + 1024 - (m - n);
-        desc.label = detail::idx_label("gemm", m, n, k);
         // A(m,n) -= A(m,k) * A(n,k)^T
-        desc.arg = GemmArgs<T>{nb, T{-1}, T{1}, /*trans_a=*/false, /*trans_b=*/true};
-        runtime.submit(std::move(desc));
+        submit_tile<T>(runtime, cl.gemm(),
+                       {{a.handle(m, k), rt::AccessMode::kRead},
+                        {a.handle(n, k), rt::AccessMode::kRead},
+                        {a.handle(m, n), rt::AccessMode::kReadWrite}},
+                       flops::gemm(nb), nb, base(k) + 1024 - (m - n), {"gemm", m, n, k},
+                       GemmArgs<T>{nb, T{-1}, T{1}, /*trans_a=*/false, /*trans_b=*/true});
       }
     }
   }

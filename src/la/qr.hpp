@@ -11,17 +11,13 @@
 // the strict lower triangle and the tau workspace.
 #pragma once
 
-#include <any>
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "hw/kernel_work.hpp"
 #include "la/codelets.hpp"
-#include "la/operations.hpp"
 #include "la/qr_kernels.hpp"
 #include "la/tile_matrix.hpp"
-#include "rt/calibration.hpp"
-#include "rt/runtime.hpp"
 
 namespace greencap::la {
 
@@ -82,65 +78,33 @@ class QrWorkspace {
 template <typename T>
 class QrCodelets {
  public:
-  QrCodelets() {
-    const char* s = scalar_traits<T>::suffix;
-
-    // geqrt: A_kk (RW), tau (W)
-    geqrt_.name = std::string{s} + "geqrt";
-    geqrt_.klass = hw::KernelClass::kQrPanel;
-    geqrt_.where = rt::kWhereAny;
-    geqrt_.cpu_func = [](rt::Task& task) {
-      if (!detail::has_storage<T>(task)) return;
-      const auto& args = std::any_cast<const TileArgs<T>&>(task.arg);
-      geqr2<T>(args.nb, args.nb, detail::tile_ptr<T>(task, 0), args.nb,
-               detail::tile_ptr<T>(task, 1));
-    };
-
-    // unmqr: V = A_kk (R), tau (R), C = A_kj (RW)
-    unmqr_.name = std::string{s} + "unmqr";
-    unmqr_.klass = hw::KernelClass::kQrApply;
-    unmqr_.where = rt::kWhereAny;
-    unmqr_.cpu_func = [](rt::Task& task) {
-      if (!detail::has_storage<T>(task)) return;
-      const auto& args = std::any_cast<const TileArgs<T>&>(task.arg);
-      orm2r_left_trans<T>(args.nb, args.nb, args.nb, detail::tile_ptr<T>(task, 0), args.nb,
-                          detail::tile_ptr<T>(task, 1), detail::tile_ptr<T>(task, 2), args.nb);
-    };
-
-    // tsqrt: R = A_kk (RW), B/V2 = A_mk (RW), tau (W)
-    tsqrt_.name = std::string{s} + "tsqrt";
-    tsqrt_.klass = hw::KernelClass::kQrPanel;
-    tsqrt_.where = rt::kWhereAny;
-    tsqrt_.cpu_func = [](rt::Task& task) {
-      if (!detail::has_storage<T>(task)) return;
-      const auto& args = std::any_cast<const TileArgs<T>&>(task.arg);
-      tpqrt2<T>(args.nb, args.nb, detail::tile_ptr<T>(task, 0), args.nb,
-                detail::tile_ptr<T>(task, 1), args.nb, detail::tile_ptr<T>(task, 2));
-    };
-
-    // tsmqr: V2 = A_mk (R), tau (R), C1 = A_kj (RW), C2 = A_mj (RW)
-    tsmqr_.name = std::string{s} + "tsmqr";
-    tsmqr_.klass = hw::KernelClass::kQrApply;
-    tsmqr_.where = rt::kWhereAny;
-    tsmqr_.cpu_func = [](rt::Task& task) {
-      if (!detail::has_storage<T>(task)) return;
-      const auto& args = std::any_cast<const TileArgs<T>&>(task.arg);
-      tpmqrt_left_trans<T>(args.nb, args.nb, args.nb, detail::tile_ptr<T>(task, 0), args.nb,
-                           detail::tile_ptr<T>(task, 1), detail::tile_ptr<T>(task, 2), args.nb,
-                           detail::tile_ptr<T>(task, 3), args.nb);
-    };
-  }
-
   [[nodiscard]] const rt::Codelet& geqrt() const { return geqrt_; }
   [[nodiscard]] const rt::Codelet& unmqr() const { return unmqr_; }
   [[nodiscard]] const rt::Codelet& tsqrt() const { return tsqrt_; }
   [[nodiscard]] const rt::Codelet& tsmqr() const { return tsmqr_; }
 
  private:
-  rt::Codelet geqrt_;
-  rt::Codelet unmqr_;
-  rt::Codelet tsqrt_;
-  rt::Codelet tsmqr_;
+  using Tiles = detail::Tiles<T>;
+
+  // geqrt: A_kk (RW), tau (W)
+  rt::Codelet geqrt_ = tile_codelet<T, TileArgs<T>>(
+      "geqrt", hw::KernelClass::kQrPanel,
+      [](const TileArgs<T>& a, Tiles t) { geqr2<T>(a.nb, a.nb, t[0], a.nb, t[1]); });
+  // unmqr: V = A_kk (R), tau (R), C = A_kj (RW)
+  rt::Codelet unmqr_ = tile_codelet<T, TileArgs<T>>(
+      "unmqr", hw::KernelClass::kQrApply, [](const TileArgs<T>& a, Tiles t) {
+        orm2r_left_trans<T>(a.nb, a.nb, a.nb, t[0], a.nb, t[1], t[2], a.nb);
+      });
+  // tsqrt: R = A_kk (RW), B/V2 = A_mk (RW), tau (W)
+  rt::Codelet tsqrt_ = tile_codelet<T, TileArgs<T>>(
+      "tsqrt", hw::KernelClass::kQrPanel, [](const TileArgs<T>& a, Tiles t) {
+        tpqrt2<T>(a.nb, a.nb, t[0], a.nb, t[1], a.nb, t[2]);
+      });
+  // tsmqr: V2 = A_mk (R), tau (R), C1 = A_kj (RW), C2 = A_mj (RW)
+  rt::Codelet tsmqr_ = tile_codelet<T, TileArgs<T>>(
+      "tsmqr", hw::KernelClass::kQrApply, [](const TileArgs<T>& a, Tiles t) {
+        tpmqrt_left_trans<T>(a.nb, a.nb, a.nb, t[0], a.nb, t[1], t[2], a.nb, t[3], a.nb);
+      });
 };
 
 /// Submits the flat-tree tile QR of A in place. `workspace` (tau storage)
@@ -153,54 +117,34 @@ void submit_geqrf(rt::Runtime& runtime, const QrCodelets<T>& cl, TileMatrix<T>& 
   const auto base = [nt](int k) { return static_cast<std::int64_t>(nt - k) * 4096; };
 
   for (int k = 0; k < nt; ++k) {
-    {
-      rt::TaskDesc desc;
-      desc.codelet = &cl.geqrt();
-      desc.accesses = {{a.handle(k, k), rt::AccessMode::kReadWrite},
-                       {workspace.panel_tau(k), rt::AccessMode::kWrite}};
-      desc.work = detail::make_work<T>(hw::KernelClass::kQrPanel, flops_qr::geqrt(nb), nb);
-      desc.priority = base(k) + 3 * 1024;
-      desc.label = detail::idx_label("geqrt", k, k);
-      desc.arg = TileArgs<T>{nb, T{1}};
-      runtime.submit(std::move(desc));
-    }
+    submit_tile<T>(runtime, cl.geqrt(),
+                   {{a.handle(k, k), rt::AccessMode::kReadWrite},
+                    {workspace.panel_tau(k), rt::AccessMode::kWrite}},
+                   flops_qr::geqrt(nb), nb, base(k) + 3 * 1024, {"geqrt", k, k},
+                   TileArgs<T>{nb, T{1}});
     for (int j = k + 1; j < nt; ++j) {
-      rt::TaskDesc desc;
-      desc.codelet = &cl.unmqr();
-      desc.accesses = {{a.handle(k, k), rt::AccessMode::kRead},
-                       {workspace.panel_tau(k), rt::AccessMode::kRead},
-                       {a.handle(k, j), rt::AccessMode::kReadWrite}};
-      desc.work = detail::make_work<T>(hw::KernelClass::kQrApply, flops_qr::unmqr(nb), nb);
-      desc.priority = base(k) + 2 * 1024 - (j - k - 1);
-      desc.label = detail::idx_label("unmqr", k, j);
-      desc.arg = TileArgs<T>{nb, T{1}};
-      runtime.submit(std::move(desc));
+      submit_tile<T>(runtime, cl.unmqr(),
+                     {{a.handle(k, k), rt::AccessMode::kRead},
+                      {workspace.panel_tau(k), rt::AccessMode::kRead},
+                      {a.handle(k, j), rt::AccessMode::kReadWrite}},
+                     flops_qr::unmqr(nb), nb, base(k) + 2 * 1024 - (j - k - 1), {"unmqr", k, j},
+                     TileArgs<T>{nb, T{1}});
     }
     for (int m = k + 1; m < nt; ++m) {
-      {
-        rt::TaskDesc desc;
-        desc.codelet = &cl.tsqrt();
-        desc.accesses = {{a.handle(k, k), rt::AccessMode::kReadWrite},
-                         {a.handle(m, k), rt::AccessMode::kReadWrite},
-                         {workspace.ts_tau(m, k), rt::AccessMode::kWrite}};
-        desc.work = detail::make_work<T>(hw::KernelClass::kQrPanel, flops_qr::tsqrt(nb), nb);
-        desc.priority = base(k) + 2 * 1024 - (m - k - 1);
-        desc.label = detail::idx_label("tsqrt", m, k);
-        desc.arg = TileArgs<T>{nb, T{1}};
-        runtime.submit(std::move(desc));
-      }
+      submit_tile<T>(runtime, cl.tsqrt(),
+                     {{a.handle(k, k), rt::AccessMode::kReadWrite},
+                      {a.handle(m, k), rt::AccessMode::kReadWrite},
+                      {workspace.ts_tau(m, k), rt::AccessMode::kWrite}},
+                     flops_qr::tsqrt(nb), nb, base(k) + 2 * 1024 - (m - k - 1), {"tsqrt", m, k},
+                     TileArgs<T>{nb, T{1}});
       for (int j = k + 1; j < nt; ++j) {
-        rt::TaskDesc desc;
-        desc.codelet = &cl.tsmqr();
-        desc.accesses = {{a.handle(m, k), rt::AccessMode::kRead},
-                         {workspace.ts_tau(m, k), rt::AccessMode::kRead},
-                         {a.handle(k, j), rt::AccessMode::kReadWrite},
-                         {a.handle(m, j), rt::AccessMode::kReadWrite}};
-        desc.work = detail::make_work<T>(hw::KernelClass::kQrApply, flops_qr::tsmqr(nb), nb);
-        desc.priority = base(k) + 1024 - (m - k) - (j - k);
-        desc.label = detail::idx_label("tsmqr", m, j, k);
-        desc.arg = TileArgs<T>{nb, T{1}};
-        runtime.submit(std::move(desc));
+        submit_tile<T>(runtime, cl.tsmqr(),
+                       {{a.handle(m, k), rt::AccessMode::kRead},
+                        {workspace.ts_tau(m, k), rt::AccessMode::kRead},
+                        {a.handle(k, j), rt::AccessMode::kReadWrite},
+                        {a.handle(m, j), rt::AccessMode::kReadWrite}},
+                       flops_qr::tsmqr(nb), nb, base(k) + 1024 - (m - k) - (j - k),
+                       {"tsmqr", m, j, k}, TileArgs<T>{nb, T{1}});
       }
     }
   }
@@ -210,27 +154,14 @@ void submit_geqrf(rt::Runtime& runtime, const QrCodelets<T>& cl, TileMatrix<T>& 
 template <typename T>
 void calibrate_qr_codelets(rt::Calibrator& calibrator, const QrCodelets<T>& cl,
                            const std::vector<int>& tile_sizes, int samples_per_point = 3) {
-  auto works = [&](hw::KernelClass klass, auto flops_of) {
-    std::vector<hw::KernelWork> out;
-    out.reserve(tile_sizes.size());
-    for (int nb : tile_sizes) {
-      out.push_back(hw::KernelWork{klass, scalar_traits<T>::precision, flops_of(nb),
-                                   static_cast<double>(nb)});
-    }
-    return out;
-  };
-  calibrator.calibrate(cl.geqrt(), works(hw::KernelClass::kQrPanel,
-                                         [](int nb) { return flops_qr::geqrt(nb); }),
-                       samples_per_point);
-  calibrator.calibrate(cl.unmqr(), works(hw::KernelClass::kQrApply,
-                                         [](int nb) { return flops_qr::unmqr(nb); }),
-                       samples_per_point);
-  calibrator.calibrate(cl.tsqrt(), works(hw::KernelClass::kQrPanel,
-                                         [](int nb) { return flops_qr::tsqrt(nb); }),
-                       samples_per_point);
-  calibrator.calibrate(cl.tsmqr(), works(hw::KernelClass::kQrApply,
-                                         [](int nb) { return flops_qr::tsmqr(nb); }),
-                       samples_per_point);
+  calibrate_kernel<T>(calibrator, cl.geqrt(), [](double nb) { return flops_qr::geqrt(nb); },
+                      tile_sizes, samples_per_point);
+  calibrate_kernel<T>(calibrator, cl.unmqr(), [](double nb) { return flops_qr::unmqr(nb); },
+                      tile_sizes, samples_per_point);
+  calibrate_kernel<T>(calibrator, cl.tsqrt(), [](double nb) { return flops_qr::tsqrt(nb); },
+                      tile_sizes, samples_per_point);
+  calibrate_kernel<T>(calibrator, cl.tsmqr(), [](double nb) { return flops_qr::tsmqr(nb); },
+                      tile_sizes, samples_per_point);
 }
 
 /// Task count of the flat-tree tile QR DAG:

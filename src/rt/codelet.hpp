@@ -1,11 +1,10 @@
 // Codelets: multi-architecture task implementations (StarPU's starpu_codelet).
 //
-// A codelet bundles the host functions that implement a kernel on each
-// architecture with the cost descriptor the performance models and device
-// models use. The "cuda" function is still a host function here — the
-// simulated GPU contributes timing and energy, while the host function
-// provides the actual numerics when Runtime::Options::execute_kernels is
-// enabled.
+// A codelet bundles the host function that implements a kernel with the
+// cost descriptor the performance models and device models use. Every
+// worker, CPU or CUDA, runs the same host function: the simulated device
+// contributes timing and energy, while the host function provides the
+// actual numerics when RuntimeOptions::execute_kernels is enabled.
 #pragma once
 
 #include <functional>
@@ -34,20 +33,11 @@ struct Codelet {
   WhereMask where = kWhereAny;
   /// Kernel family — selects the per-device efficiency factor.
   hw::KernelClass klass = hw::KernelClass::kGeneric;
-  /// Host implementation used by CPU workers (and for real execution).
+  /// Host implementation every worker runs (numerics only; the device
+  /// models provide timing).
   KernelFunc cpu_func;
-  /// Implementation used by CUDA workers. If empty, cpu_func provides the
-  /// numerics and only the timing model differs.
-  KernelFunc cuda_func;
   /// Optional per-worker eligibility refinement; null = where-mask only.
   CanExecuteFunc can_execute;
-
-  [[nodiscard]] const KernelFunc& func_for(WorkerArch arch) const {
-    if (arch == WorkerArch::kCuda && cuda_func) {
-      return cuda_func;
-    }
-    return cpu_func;
-  }
 };
 
 /// Combined eligibility test used by every scheduling policy.

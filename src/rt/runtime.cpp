@@ -12,6 +12,14 @@
 
 namespace greencap::rt {
 
+namespace {
+
+/// Per-task launch overhead added to every execution time.
+constexpr double kCpuTaskOverheadUs = 1.0;
+constexpr double kCudaTaskOverheadUs = 12.0;
+
+}  // namespace
+
 Runtime::Runtime(hw::Platform& platform, sim::Simulator& sim, RuntimeOptions options)
     : platform_{platform},
       sim_{sim},
@@ -282,10 +290,9 @@ sim::SimTime Runtime::oracle_exec_time(const Codelet& codelet, const hw::KernelW
   hw::KernelWork w = work;
   w.klass = codelet.klass;
   if (worker.arch() == WorkerArch::kCuda) {
-    return worker.gpu()->execution_time(w) +
-           sim::SimTime::micros(options_.cuda_task_overhead_us);
+    return worker.gpu()->execution_time(w) + sim::SimTime::micros(kCudaTaskOverheadUs);
   }
-  return worker.cpu()->execution_time(w) + sim::SimTime::micros(options_.cpu_task_overhead_us);
+  return worker.cpu()->execution_time(w) + sim::SimTime::micros(kCpuTaskOverheadUs);
 }
 
 void Runtime::try_start(Worker& worker) {
@@ -367,8 +374,7 @@ void Runtime::finish_task(Task& task, Worker& worker) {
   }
 
   if (options_.execute_kernels) {
-    const KernelFunc& func = task.codelet().func_for(worker.arch());
-    if (func) {
+    if (const KernelFunc& func = task.codelet().cpu_func) {
       func(task);
     }
   }

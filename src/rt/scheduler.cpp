@@ -310,7 +310,8 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name) {
   if (name == "dmda") return std::make_unique<DmdaScheduler>();
   if (name == "dmdas") return std::make_unique<DmdasScheduler>();
   if (name == "dmdae") return std::make_unique<DmdaeScheduler>();
-  throw std::invalid_argument("unknown scheduler: " + name);
+  throw std::invalid_argument("unknown scheduler '" + name + "' (expected " +
+                              kSchedulerNames + ")");
 }
 
 }  // namespace greencap::rt

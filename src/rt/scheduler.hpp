@@ -300,8 +300,11 @@ class DmdaeScheduler final : public DmdasScheduler {
   double slack_;
 };
 
-/// Factory for the predefined policies:
-/// eager, random, ws, dm, dmda, dmdas, dmdae.
+/// Every policy name make_scheduler accepts, '|'-separated.
+inline constexpr const char* kSchedulerNames = "eager|prio|random|ws|lws|dm|dmda|dmdas|dmdae";
+
+/// Factory for the predefined policies (kSchedulerNames). Any other name
+/// throws std::invalid_argument.
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(const std::string& name);
 
 }  // namespace greencap::rt

@@ -138,10 +138,10 @@ TEST(CliFlags, EveryRegisteredFlagParsesItsOwnName) {
     Table t;
     const bool takes_value = name != "--csv" && name != "--quick" && name != "--degrade";
     std::string good_value = "1";
-    if (name == "--summary-json" || name == "--faults" || name == "--checkpoint" ||
-        name == "--resume") {
+    if (name == "--summary-json" || name == "--checkpoint" || name == "--resume") {
       good_value = "some-value";
     }
+    if (name == "--faults") good_value = "capfail@gpu0:count=1";  // validated at parse time
     if (takes_value) {
       EXPECT_EQ(t.parse({name, good_value}), "") << name;
     } else {

@@ -29,6 +29,7 @@
 #include "core/paper_params.hpp"
 #include "hw/presets.hpp"
 #include "power/config.hpp"
+#include "rt/scheduler.hpp"
 
 using namespace greencap;
 
@@ -44,7 +45,8 @@ namespace {
       "  --nb NB             tile order             (default: paper's Table II)\n"
       "  --config CFG        H/B/L letters, one per GPU (default all H)\n"
       "  --cpu-cap PKG:FRAC  RAPL-cap package PKG to FRAC of TDP\n"
-      "  --scheduler S       eager|random|ws|dm|dmda|dmdas|dmdae (default dmdas)\n"
+      "  --scheduler S       %s\n"
+      "                      (default dmdas)\n"
       "  --baseline          also run all-H and print deltas\n"
       "  --stale-models      maladaptation ablation (no recalibration)\n"
       "  --seed N            RNG seed (default 42)\n"
@@ -75,7 +77,7 @@ namespace {
       "                           for N virtual ms\n"
       "  --resume FILE            resume a killed/interrupted run from FILE\n"
       "  --ckpt-kill-after N      test hook: _Exit(137) after the Nth write\n",
-      argv0);
+      argv0, rt::kSchedulerNames);
   std::exit(code);
 }
 
@@ -165,7 +167,15 @@ int main(int argc, char** argv) {
     cfg.cpu_cap = core::CpuCap{static_cast<std::size_t>(pkg), frac};
     return {};
   });
-  parser.str("--scheduler", &cfg.scheduler);
+  parser.value("--scheduler", "S", [&cfg](const std::string& name) -> std::string {
+    try {
+      (void)rt::make_scheduler(name);
+    } catch (const std::invalid_argument&) {
+      return "expects " + std::string{rt::kSchedulerNames} + ", got '" + name + "'";
+    }
+    cfg.scheduler = name;
+    return {};
+  });
   parser.flag("--baseline", &baseline);
   parser.flag("--stale-models", &cfg.stale_models);
   parser.u64("--seed", &cfg.seed);
@@ -179,6 +189,12 @@ int main(int argc, char** argv) {
   if (err.empty()) err = flags.validate();
   if (!err.empty()) {
     std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
+    return 2;
+  }
+  const std::size_t gpus = hw::presets::platform_by_name(cfg.platform).gpus.size();
+  if (gpu_config && gpu_config->size() != gpus) {
+    std::fprintf(stderr, "%s: flag '--config' expects %zu letters for %s, got '%s'\n", argv[0],
+                 gpus, cfg.platform.c_str(), gpu_config->to_string().c_str());
     return 2;
   }
 
@@ -203,7 +219,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::size_t gpus = hw::presets::platform_by_name(cfg.platform).gpus.size();
   cfg.gpu_config = gpu_config ? *gpu_config : power::GpuConfig::uniform(gpus, power::Level::kHigh);
 
   cfg.resilience = flags.resilience;
