@@ -29,11 +29,14 @@ int main(int argc, char** argv) {
   sim::Simulator simulator;
   nvml::Context nvml_ctx{platform, simulator};
   nvml::Device* dev = nullptr;
-  nvml_ctx.device_handle_by_index(0, &dev);
   std::string name;
   std::uint32_t min_mw = 0, max_mw = 0;
-  dev->name(&name);
-  dev->power_management_limit_constraints(&min_mw, &max_mw);
+  if (nvml_ctx.device_handle_by_index(0, &dev) != nvml::Result::kSuccess ||
+      dev->name(&name) != nvml::Result::kSuccess ||
+      dev->power_management_limit_constraints(&min_mw, &max_mw) != nvml::Result::kSuccess) {
+    std::fprintf(stderr, "NVML query of device 0 failed\n");
+    return 1;
+  }
   std::printf("NVML device 0: %s — settable power limit %.0f..%.0f W\n", name.c_str(),
               min_mw / 1000.0, max_mw / 1000.0);
 

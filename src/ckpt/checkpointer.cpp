@@ -18,19 +18,6 @@ void Checkpointer::arm() {
   }
 }
 
-void Checkpointer::rearm_tick_at(sim::SimTime when) {
-  tick_armed_ = true;
-  tick_event_ = sim_.at(when, [this] { tick(); });
-}
-
-void Checkpointer::rearm_watchdog_at(sim::SimTime when, std::uint64_t last_progress) {
-  watchdog_armed_ = true;
-  watchdog_progress_ = last_progress;
-  watchdog_event_ = sim_.at(when, [this] { watchdog_fire(); });
-}
-
-void Checkpointer::arm_missing() { arm(); }
-
 void Checkpointer::cancel() {
   if (tick_armed_) {
     sim_.cancel(tick_event_);
@@ -44,8 +31,7 @@ void Checkpointer::cancel() {
 
 void Checkpointer::tick() {
   // The firing event was already removed from the pending set, so the
-  // capture inside write_() does not see this tick — on resume the next
-  // tick is freshly armed by arm_missing().
+  // capture inside write_() does not see this tick.
   tick_armed_ = false;
   if (sim_.callback_depth() > 1) {
     // Nested dispatch (a callback re-entered the loop via run_until): the

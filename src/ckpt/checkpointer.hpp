@@ -17,11 +17,9 @@
 //    so a deadlocked experiment aborts with its state preserved instead
 //    of spinning forever.
 //
-// Restore protocol: the events pending at capture time are re-created by
-// the experiment driver via rearm_tick_at()/rearm_watchdog_at() in the
-// global seq-preserving replay; arm_missing() then freshly arms whichever
-// of the two was not in the pending set (the tick is absent from its own
-// capture — EventQueue nulls an event before invoking it).
+// A resume never re-creates these events: it re-runs the in-flight
+// experiment from its start, and the re-run arms them afresh
+// (docs/CHECKPOINTING.md).
 #pragma once
 
 #include <cstdint>
@@ -62,14 +60,6 @@ class Checkpointer {
   /// period from now.
   void arm();
 
-  /// Restore: re-creates the pending tick/watchdog at their original
-  /// absolute times (called during the seq-ordered event replay).
-  void rearm_tick_at(sim::SimTime when);
-  void rearm_watchdog_at(sim::SimTime when, std::uint64_t last_progress);
-
-  /// Restore epilogue: arms whichever event the replay did not re-create.
-  void arm_missing();
-
   /// Cancels both events (installed as a runtime drain hook, so neither
   /// outlives the DAG and extends the virtual clock).
   void cancel();
@@ -79,8 +69,6 @@ class Checkpointer {
   [[nodiscard]] bool tick_armed() const { return tick_armed_; }
   [[nodiscard]] bool watchdog_armed() const { return watchdog_armed_; }
   [[nodiscard]] std::uint64_t watchdog_progress() const { return watchdog_progress_; }
-  [[nodiscard]] sim::SimTime period() const { return options_.period; }
-  [[nodiscard]] sim::SimTime watchdog_period() const { return options_.watchdog; }
 
  private:
   void tick();

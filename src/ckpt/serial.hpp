@@ -17,12 +17,19 @@
 
 namespace greencap::ckpt {
 
+/// Thrown for any unreadable, malformed, or corrupt checkpoint file.
+class CheckpointError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Thrown by Reader on any malformed payload: truncation, a section tag
 /// mismatch, or an out-of-range length. The message pinpoints the byte
 /// offset so a corrupt checkpoint is diagnosable from the error alone.
-class CorruptError : public std::runtime_error {
+/// A CheckpointError, so callers reading a file need to catch one type.
+class CorruptError : public CheckpointError {
  public:
-  using std::runtime_error::runtime_error;
+  using CheckpointError::CheckpointError;
 };
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over `size` bytes starting

@@ -1,5 +1,6 @@
 #include "core/checkpoint.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <utility>
 
@@ -31,8 +32,11 @@ void CheckpointSession::load_resume_file() {
     completed_.push_back(std::move(blob));
   }
   if (r.boolean()) {
-    pending_run_config_ = r.str();
-    pending_run_state_ = r.str();
+    Witness witness;
+    witness.config_bytes = r.str();
+    witness.state_bytes = r.str();
+    witness.t_virtual_s = file.manifest.t_virtual_s;
+    witness_ = std::move(witness);
   }
   if (!r.at_end()) {
     throw ck::CheckpointError{"checkpoint payload has " + std::to_string(r.remaining()) +
@@ -64,6 +68,9 @@ std::optional<ExperimentResult> CheckpointSession::try_replay(const ExperimentCo
 }
 
 void CheckpointSession::commit(const ExperimentConfig& config, const ExperimentResult& result) {
+  if (witness_) {
+    throw witness_error();
+  }
   CompletedBlob blob;
   blob.config_bytes = ckpt_io::config_bytes(config);
   ck::Writer w;
@@ -72,9 +79,6 @@ void CheckpointSession::commit(const ExperimentConfig& config, const ExperimentR
   blob.had_obs = result.observability != nullptr;
   completed_.push_back(std::move(blob));
   cursor_ = completed_.size();
-  // The just-finished run's mid-run state (if any) is obsolete now.
-  pending_run_config_.clear();
-  pending_run_state_.clear();
   if (writes_enabled()) {
     write_campaign("boundary");
   }
@@ -91,33 +95,46 @@ void CheckpointSession::check_interrupt() {
       "interrupted (SIGINT/SIGTERM): campaign checkpoint written at the experiment boundary"};
 }
 
-std::optional<ckpt_io::RunState> CheckpointSession::take_pending_run(
-    const ExperimentConfig& config) {
-  if (pending_run_state_.empty()) {
-    return std::nullopt;
+void CheckpointSession::begin_run(const ExperimentConfig& config) {
+  if (!witness_) {
+    return;
   }
-  if (ckpt_io::config_bytes(config) != pending_run_config_) {
+  if (ckpt_io::config_bytes(config) != witness_->config_bytes) {
     throw ck::CheckpointError{
         "resume mismatch: the checkpoint's mid-run state belongs to a different experiment "
         "than '" +
         config.describe() + "' — resume with the identical command line"};
   }
-  ck::Reader r{pending_run_state_};
-  ckpt_io::RunState state = ckpt_io::decode_run_state(r);
-  pending_run_config_.clear();
-  pending_run_state_.clear();
-  return state;
+  if (options_.every_ms <= 0.0 && options_.watchdog_ms <= 0.0) {
+    throw witness_error();
+  }
 }
 
-void CheckpointSession::write_run_checkpoint(const char* reason, const ExperimentConfig& config,
-                                             const ckpt_io::RunState& state) {
+void CheckpointSession::on_run_state(const char* reason, const ExperimentConfig& config,
+                                     const ckpt_io::RunState& state) {
+  ck::Writer rs;
+  ckpt_io::encode_run_state(rs, state);
+  std::string state_bytes = rs.take();
+  if (witness_ && state.t_virtual_s >= witness_->t_virtual_s) {
+    // Several captures can share one instant (a tick and a watchdog probe),
+    // so a mismatch there is final only once the clock moves past it.
+    if (state.t_virtual_s > witness_->t_virtual_s) {
+      throw witness_error();
+    }
+    if (state_bytes == witness_->state_bytes) {
+      witness_.reset();
+    } else {
+      witness_->mismatched = true;
+    }
+  }
+  if (!writes_enabled()) {
+    return;
+  }
   ck::Writer w;
   append_campaign_section(w);
   w.boolean(true);
   w.str(ckpt_io::config_bytes(config));
-  ck::Writer rs;
-  ckpt_io::encode_run_state(rs, state);
-  w.str(rs.take());
+  w.str(state_bytes);
 
   ck::Manifest manifest;
   manifest.kind = "run";
@@ -126,6 +143,21 @@ void CheckpointSession::write_run_checkpoint(const char* reason, const Experimen
   manifest.completed = completed_.size();
   manifest.t_virtual_s = state.t_virtual_s;
   write_file(std::move(manifest), w.take());
+}
+
+ck::CheckpointError CheckpointSession::witness_error() const {
+  char t[32];
+  const auto end = std::to_chars(t, t + sizeof t, witness_->t_virtual_s).ptr;
+  const std::string at = "t=" + std::string{t, end} + " s";
+  if (witness_->mismatched) {
+    return ck::CheckpointError{
+        "resume witness mismatch: the re-run's state at " + at +
+        " differs from the checkpointed state — the run is not deterministic, or the binary "
+        "changed since the checkpoint was written"};
+  }
+  return ck::CheckpointError{
+      "resume witness unchecked: the re-run took no mid-run capture at the checkpointed " + at +
+      " — resume with the same --checkpoint-every-ms and --watchdog-ms as the checkpointed run"};
 }
 
 void CheckpointSession::write_campaign(const char* reason) {
@@ -162,7 +194,7 @@ void CheckpointSession::write_file(ck::Manifest manifest, const std::string& pay
 }
 
 std::uint64_t CheckpointSession::signature() const {
-  // FNV-1a over every completed config encoding plus the pending run's.
+  // FNV-1a over every completed config encoding.
   std::uint64_t h = 14695981039346656037ULL;
   auto mix = [&h](const std::string& bytes) {
     for (const char c : bytes) {
@@ -173,7 +205,6 @@ std::uint64_t CheckpointSession::signature() const {
   for (const CompletedBlob& blob : completed_) {
     mix(blob.config_bytes);
   }
-  mix(pending_run_config_);
   return h;
 }
 

@@ -10,9 +10,12 @@
 //    of re-running them, byte-identically;
 //
 //  * during an experiment (when --checkpoint-every-ms / --watchdog-ms are
-//    set) run_experiment() calls back into write_run_checkpoint() with a
-//    full ckpt_io::RunState, producing a *run* checkpoint from which the
-//    in-flight experiment resumes mid-DAG;
+//    set) run_experiment() calls back into on_run_state() with a full
+//    ckpt_io::RunState, producing a *run* checkpoint. A resume from it
+//    replays the completed prefix and re-runs the in-flight experiment
+//    from its start (rework is at most one run); the saved state is the
+//    determinism witness the re-run must reproduce byte for byte at the
+//    same virtual instant;
 //
 //  * a SIGINT/SIGTERM latch is honoured between experiments (and at the
 //    next periodic tick inside one): a final "signal" checkpoint is
@@ -76,23 +79,34 @@ class CheckpointSession {
   /// Appends a freshly executed result and writes the boundary checkpoint.
   /// The result's artifacts must be exported BEFORE commit() (the engine
   /// commits after its on_result hook): once the boundary write lands, a
-  /// resume will not re-export them.
+  /// resume will not re-export them. Throws ckpt::CheckpointError if the
+  /// resume file's witness is still unchecked: the re-run never reproduced
+  /// the checkpointed state.
   void commit(const ExperimentConfig& config, const ExperimentResult& result);
 
   /// Between-experiment interrupt point: if SIGINT/SIGTERM was latched,
   /// writes a "signal" campaign checkpoint and throws ckpt::InterruptedError.
   void check_interrupt();
 
-  /// Consumes the resume file's mid-run state, if it carries one. Throws
-  /// ckpt::CheckpointError when the state belongs to a different config
-  /// than the experiment about to run.
-  [[nodiscard]] std::optional<ckpt_io::RunState> take_pending_run(
-      const ExperimentConfig& config);
+  /// Called by run_experiment() before every fresh run. While the resume
+  /// file's mid-run witness is unchecked, the run must be its experiment
+  /// and must take mid-run captures; throws ckpt::CheckpointError
+  /// otherwise.
+  void begin_run(const ExperimentConfig& config);
 
-  /// Mid-run write path (periodic tick / watchdog / signal), called from
-  /// inside run_experiment() with the captured state.
-  void write_run_checkpoint(const char* reason, const ExperimentConfig& config,
-                            const ckpt_io::RunState& state);
+  /// Whether mid-run captures have a consumer: file writes, or a pending
+  /// witness.
+  [[nodiscard]] bool captures_run_state() const {
+    return writes_enabled() || witness_.has_value();
+  }
+
+  /// Mid-run capture point (periodic tick / watchdog / signal), called
+  /// from inside run_experiment() with the captured state. Checks the
+  /// pending witness at its virtual instant, then writes a "run"
+  /// checkpoint if writes are enabled. Throws ckpt::CheckpointError once
+  /// the re-run passes the witness instant without reproducing it.
+  void on_run_state(const char* reason, const ExperimentConfig& config,
+                    const ckpt_io::RunState& state);
 
   /// Checkpoint file writes performed so far (boundary + mid-run).
   [[nodiscard]] int writes() const { return writes_; }
@@ -104,7 +118,16 @@ class CheckpointSession {
     bool had_obs = false;
   };
 
+  /// The resume file's in-flight run, kept as opaque bytes.
+  struct Witness {
+    std::string config_bytes;
+    std::string state_bytes;  ///< encoded RunState at t_virtual_s
+    double t_virtual_s = 0.0;
+    bool mismatched = false;  ///< a capture at t_virtual_s had other bytes
+  };
+
   void load_resume_file();
+  [[nodiscard]] ckpt::CheckpointError witness_error() const;
   void write_campaign(const char* reason);
   void write_file(ckpt::Manifest manifest, const std::string& payload);
   void append_campaign_section(ckpt::Writer& w) const;
@@ -113,15 +136,14 @@ class CheckpointSession {
   CheckpointOptions options_;
   std::vector<CompletedBlob> completed_;
   std::size_t cursor_ = 0;
-  std::string pending_run_config_;
-  std::string pending_run_state_;  ///< encoded RunState; empty = none
+  std::optional<Witness> witness_;
   int writes_ = 0;
 };
 
-/// run_experiment() with checkpoint support: resumes from the session's
-/// pending mid-run state when present, and arms the periodic ticker and
-/// hang watchdog when the session enables them. `session == nullptr` is
-/// exactly the plain run_experiment().
+/// run_experiment() with checkpoint support: arms the periodic ticker and
+/// hang watchdog when the session enables them, and reports every mid-run
+/// capture to the session. `session == nullptr` is exactly the plain
+/// run_experiment().
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config,
                                               CheckpointSession* session);
 

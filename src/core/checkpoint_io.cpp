@@ -70,14 +70,6 @@ void put_task_ids(ck::Writer& w, const std::vector<rt::TaskId>& ids) {
   for (const rt::TaskId id : ids) w.i64(id);
 }
 
-std::vector<rt::TaskId> get_task_ids(ck::Reader& r) {
-  const std::size_t n = r.length(8);
-  std::vector<rt::TaskId> ids;
-  ids.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) ids.push_back(r.i64());
-  return ids;
-}
-
 // -- runtime snapshot --------------------------------------------------------
 
 void put_runtime(ck::Writer& w, const rt::RuntimeSnapshot& s) {
@@ -140,82 +132,6 @@ void put_runtime(ck::Writer& w, const rt::RuntimeSnapshot& s) {
     w.u64(g.samples);
   }
   w.u64(s.structure_digest);
-}
-
-rt::RuntimeSnapshot get_runtime(ck::Reader& r) {
-  r.expect_section("RTSS");
-  rt::RuntimeSnapshot s;
-  const std::size_t n_tasks = r.length(8);
-  s.tasks.reserve(n_tasks);
-  for (std::size_t i = 0; i < n_tasks; ++i) {
-    rt::TaskSnapshot t;
-    t.state = r.u8();
-    t.unresolved_deps = r.i32();
-    t.assigned_worker = r.i32();
-    t.ready_at_s = r.f64();
-    t.dispatched_at_s = r.f64();
-    t.data_ready_at_s = r.f64();
-    t.start_s = r.f64();
-    t.end_s = r.f64();
-    t.attributed_power_w = r.f64();
-    t.decision_index = r.i64();
-    s.tasks.push_back(t);
-  }
-  const std::size_t n_workers = r.length(8);
-  s.workers.reserve(n_workers);
-  for (std::size_t i = 0; i < n_workers; ++i) {
-    rt::WorkerSnapshot wk;
-    wk.busy = r.boolean();
-    wk.quarantined = r.boolean();
-    wk.busy_until_s = r.f64();
-    wk.expected_free_s = r.f64();
-    wk.link_free_s = r.f64();
-    wk.inflight = r.i64();
-    wk.queue = get_task_ids(r);
-    wk.tasks_executed = r.u64();
-    wk.busy_seconds = r.f64();
-    wk.flops_done = r.f64();
-    wk.transfer_seconds = r.f64();
-    wk.bytes_transferred = r.u64();
-    s.workers.push_back(std::move(wk));
-  }
-  s.handle_validity = ck::get_u64_vec(r);
-  s.link_free_s = ck::get_f64_vec(r);
-  s.tasks_completed = r.u64();
-  s.flops_completed = r.f64();
-  s.last_completion_s = r.f64();
-  s.drained = r.boolean();
-  s.rng_state = ck::get_u64_array4(r);
-  s.scheduler.central = get_task_ids(r);
-  s.scheduler.pending = r.u64();
-  s.scheduler.cursor = r.u64();
-  const std::size_t n_hist = r.length(8);
-  s.perf_history.reserve(n_hist);
-  for (std::size_t i = 0; i < n_hist; ++i) {
-    rt::HistoryPerfModel::HistoryEntry h;
-    h.codelet = r.str();
-    h.worker = r.i32();
-    h.precision = r.u8();
-    h.size_key = r.i64();
-    h.samples = r.u64();
-    h.mean_s = r.f64();
-    h.m2 = r.f64();
-    s.perf_history.push_back(std::move(h));
-  }
-  const std::size_t n_reg = r.length(8);
-  s.perf_regression.reserve(n_reg);
-  for (std::size_t i = 0; i < n_reg; ++i) {
-    rt::HistoryPerfModel::RegressionEntry g;
-    g.codelet = r.str();
-    g.worker = r.i32();
-    g.precision = r.u8();
-    g.sum_xt = r.f64();
-    g.sum_xx = r.f64();
-    g.samples = r.u64();
-    s.perf_regression.push_back(std::move(g));
-  }
-  s.structure_digest = r.u64();
-  return s;
 }
 
 }  // namespace
@@ -491,171 +407,6 @@ void encode_run_state(ck::Writer& w, const RunState& s) {
     w.i32(e.index);
     w.f64(e.when_s);
   }
-}
-
-RunState decode_run_state(ck::Reader& r) {
-  r.expect_section("RUN1");
-  RunState s;
-  s.t_virtual_s = r.f64();
-  s.t_begin_s = r.f64();
-  s.watchdog_progress = r.u64();
-  s.start_energy = get_energy_reading(r);
-  s.runtime = get_runtime(r);
-
-  r.expect_section("DEVS");
-  const std::size_t n_gpus = r.length(8);
-  s.gpus.reserve(n_gpus);
-  for (std::size_t i = 0; i < n_gpus; ++i) {
-    GpuState g;
-    g.cap_w = r.f64();
-    g.busy = r.boolean();
-    g.failed = r.boolean();
-    g.meter_power_w = r.f64();
-    g.meter_joules = r.f64();
-    g.meter_last_update_s = r.f64();
-    s.gpus.push_back(g);
-  }
-  const std::size_t n_cpus = r.length(8);
-  s.cpus.reserve(n_cpus);
-  for (std::size_t i = 0; i < n_cpus; ++i) {
-    CpuState c;
-    c.cap_w = r.f64();
-    c.active_cores = r.i32();
-    c.meter_power_w = r.f64();
-    c.meter_joules = r.f64();
-    c.meter_last_update_s = r.f64();
-    s.cpus.push_back(c);
-  }
-  const std::size_t n_trackers = r.length(8);
-  s.trackers.reserve(n_trackers);
-  for (std::size_t i = 0; i < n_trackers; ++i) {
-    TrackerState t;
-    t.offset_j = r.f64();
-    t.last_raw_j = r.f64();
-    t.resets = r.i32();
-    s.trackers.push_back(t);
-  }
-
-  r.expect_section("PWRS");
-  const std::size_t n_best = r.length(9);
-  s.power.best_cap_w.reserve(n_best);
-  for (std::size_t i = 0; i < n_best; ++i) {
-    const bool has = r.boolean();
-    const double v = r.f64();
-    s.power.best_cap_w.push_back(has ? std::optional<double>{v} : std::nullopt);
-  }
-  const std::size_t n_targets = r.length(4);
-  s.power.target_mw.reserve(n_targets);
-  for (std::size_t i = 0; i < n_targets; ++i) s.power.target_mw.push_back(r.u32());
-  s.power.reconcile_active = r.boolean();
-  s.power.reconcile_period_s = r.f64();
-
-  r.expect_section("FLTS");
-  s.has_injector = r.boolean();
-  if (s.has_injector) {
-    s.injector.rng_state = ck::get_u64_array4(r);
-    s.injector.armed = r.boolean();
-    s.injector.origin_s = r.f64();
-    const std::size_t n_counts = r.length(4);
-    s.injector.remaining_count.reserve(n_counts);
-    for (std::size_t i = 0; i < n_counts; ++i) s.injector.remaining_count.push_back(r.i32());
-    s.injector.gpu_dropped = ck::get_bool_vec(r);
-    s.injector.counts = get_fault_counts(r);
-  }
-
-  r.expect_section("OBSS");
-  const std::size_t n_spans = r.length(8);
-  s.trace_spans.reserve(n_spans);
-  for (std::size_t i = 0; i < n_spans; ++i) {
-    sim::Span sp;
-    sp.kind = static_cast<sim::SpanKind>(r.u8());
-    sp.resource = r.i32();
-    sp.object = r.i64();
-    sp.name = r.str();
-    sp.begin = sim::SimTime::seconds(r.f64());
-    sp.end = sim::SimTime::seconds(r.f64());
-    s.trace_spans.push_back(std::move(sp));
-  }
-  const std::size_t n_markers = r.length(8);
-  s.trace_markers.reserve(n_markers);
-  for (std::size_t i = 0; i < n_markers; ++i) {
-    sim::Marker m;
-    m.name = r.str();
-    m.when = sim::SimTime::seconds(r.f64());
-    s.trace_markers.push_back(std::move(m));
-  }
-  const std::size_t n_counters = r.length(8);
-  s.counters.reserve(n_counters);
-  for (std::size_t i = 0; i < n_counters; ++i) {
-    std::string name = r.str();
-    const std::uint64_t value = r.u64();
-    s.counters.emplace_back(std::move(name), value);
-  }
-  const std::size_t n_gauges = r.length(8);
-  s.gauges.reserve(n_gauges);
-  for (std::size_t i = 0; i < n_gauges; ++i) {
-    std::string name = r.str();
-    const double value = r.f64();
-    s.gauges.emplace_back(std::move(name), value);
-  }
-  const std::size_t n_hists = r.length(8);
-  s.histograms.reserve(n_hists);
-  for (std::size_t i = 0; i < n_hists; ++i) {
-    HistogramState h;
-    h.name = r.str();
-    h.bounds = ck::get_f64_vec(r);
-    h.buckets = ck::get_u64_vec(r);
-    h.count = r.u64();
-    h.sum = r.f64();
-    h.min = r.f64();
-    h.max = r.f64();
-    s.histograms.push_back(std::move(h));
-  }
-  const std::size_t n_decisions = r.length(8);
-  s.decisions.reserve(n_decisions);
-  for (std::size_t i = 0; i < n_decisions; ++i) {
-    obs::Decision d;
-    d.task = r.i64();
-    d.codelet = r.str();
-    d.worker_arch = r.str();
-    d.chosen_worker = r.i32();
-    d.decided_at = sim::SimTime::seconds(r.f64());
-    d.queue_wait_s = r.f64();
-    d.expected_exec_s = r.f64();
-    d.realized_exec_s = r.f64();
-    const std::size_t n_alts = r.length(4 + 8 * 3);
-    d.alternatives.reserve(n_alts);
-    for (std::size_t j = 0; j < n_alts; ++j) {
-      obs::DecisionAlternative alt;
-      alt.worker = r.i32();
-      alt.expected_exec_s = r.f64();
-      alt.expected_transfer_s = r.f64();
-      alt.expected_energy_j = r.f64();
-      d.alternatives.push_back(alt);
-    }
-    s.decisions.push_back(std::move(d));
-  }
-  const std::size_t n_rows = r.length(8);
-  s.telemetry.reserve(n_rows);
-  for (std::size_t i = 0; i < n_rows; ++i) {
-    obs::TelemetrySample row;
-    row.t = sim::SimTime::seconds(r.f64());
-    row.values = ck::get_f64_vec(r);
-    s.telemetry.push_back(std::move(row));
-  }
-  s.degradation = get_degradation(r);
-
-  r.expect_section("EVTS");
-  const std::size_t n_events = r.length(1 + 4 + 8);
-  s.events.reserve(n_events);
-  for (std::size_t i = 0; i < n_events; ++i) {
-    EventRecord e;
-    e.kind = static_cast<EventKind>(r.u8());
-    e.index = r.i32();
-    e.when_s = r.f64();
-    s.events.push_back(e);
-  }
-  return s;
 }
 
 }  // namespace greencap::core::ckpt_io

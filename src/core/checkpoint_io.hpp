@@ -15,7 +15,10 @@
 //    runtime snapshot (DAG progress, workers, perf models, RNG),
 //    device/meter states, monotonic energy trackers, power-manager and
 //    fault-injector state, observability series, and the pending
-//    simulator events in their original scheduling order.
+//    simulator events in their original scheduling order. It is written,
+//    never decoded: a resume re-runs the in-flight experiment from its
+//    start and checks the re-run's own encoding at the same virtual
+//    instant against these bytes (the determinism witness).
 #pragma once
 
 #include <cstdint>
@@ -30,8 +33,7 @@
 namespace greencap::core::ckpt_io {
 
 /// Pending simulator events are captured sorted by their original event
-/// sequence number and re-created on resume in exactly that order, which
-/// preserves the (time, seq) tie-break of the original run.
+/// sequence number, the order in which equal-time events fire.
 enum class EventKind : std::uint8_t {
   kWorkerBegin = 1,  ///< index = worker id
   kWorkerEnd = 2,    ///< index = worker id
@@ -81,7 +83,7 @@ struct HistogramState {
   double max = 0.0;
 };
 
-/// Complete resumable state of one in-flight experiment.
+/// Complete state of one in-flight experiment.
 struct RunState {
   double t_virtual_s = 0.0;
   double t_begin_s = 0.0;
@@ -120,6 +122,5 @@ struct DecodedResult {
 [[nodiscard]] DecodedResult decode_result(ckpt::Reader& r);
 
 void encode_run_state(ckpt::Writer& w, const RunState& state);
-[[nodiscard]] RunState decode_run_state(ckpt::Reader& r);
 
 }  // namespace greencap::core::ckpt_io

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "ckpt/file.hpp"
 #include "core/checkpoint.hpp"
 #include "fault/fault_plan.hpp"
 #include "hw/presets.hpp"
@@ -214,22 +213,19 @@ void RunContext::apply_caps() {
   }
 }
 
-void RunContext::start_resilience(bool restoring) {
+void RunContext::start_resilience(bool /*unused*/) {
   const ExperimentConfig& config = result_.config;
   // Reconciliation and the injector's timed faults start only now, after
   // calibration, so plan times mean "seconds into the measured run"; drain
   // hooks stop both at the instant the DAG retires, keeping the makespan
-  // free of stray bookkeeping events. On a resume neither is armed here:
-  // their pending events come back through the ordered event replay.
+  // free of stray bookkeeping events.
   if (config.resilience.reconcile_ms > 0.0) {
-    if (!restoring) {
-      manager_.start_reconciliation(
-          sim::SimTime::millis(config.resilience.reconcile_ms),
-          [this](std::size_t gpu) { runtime_->invalidate_gpu_history(gpu); });
-    }
+    manager_.start_reconciliation(
+        sim::SimTime::millis(config.resilience.reconcile_ms),
+        [this](std::size_t gpu) { runtime_->invalidate_gpu_history(gpu); });
     runtime_->add_drain_hook([this] { manager_.stop_reconciliation(); });
   }
-  if (injector_ != nullptr && !restoring) {
+  if (injector_ != nullptr) {
     injector_->arm(simulator_);
   }
 }
@@ -260,8 +256,8 @@ void RunContext::attach_checkpointer(CheckpointSession& session) {
   checkpointer_ = std::make_unique<ckpt::Checkpointer>(
       simulator_, copt,
       [this, sess](const char* reason) {
-        if (sess->writes_enabled()) {
-          sess->write_run_checkpoint(reason, result_.config, capture_run_state());
+        if (sess->captures_run_state()) {
+          sess->on_run_state(reason, result_.config, capture_run_state());
         }
       },
       [this] { return runtime_->stats().tasks_completed; });
@@ -340,8 +336,8 @@ ckpt_io::RunState RunContext::capture_run_state() {
   }
   s.degradation = result_.degradation.events();
 
-  // Pending simulator events, sorted by their original scheduling order
-  // (seq) so the replay preserves every (time, seq) tie-break.
+  // Pending simulator events, sorted by their scheduling order (seq), the
+  // order in which equal-time events fire.
   std::vector<std::pair<std::uint64_t, ckpt_io::EventRecord>> pending;
   auto add_event = [&](ckpt_io::EventKind kind, std::int32_t index, sim::EventId id) {
     if (!simulator_.pending(id)) {
@@ -358,9 +354,7 @@ ckpt_io::RunState RunContext::capture_run_state() {
     if (w.inflight == nullptr) {
       continue;
     }
-    if (w.begin_event.seq != w.end_event.seq) {
-      add_event(ckpt_io::EventKind::kWorkerBegin, w.id(), w.begin_event);
-    }
+    add_event(ckpt_io::EventKind::kWorkerBegin, w.id(), w.begin_event);
     add_event(ckpt_io::EventKind::kWorkerEnd, w.id(), w.end_event);
   }
   if (manager_.reconciling()) {
@@ -387,117 +381,6 @@ ckpt_io::RunState RunContext::capture_run_state() {
     s.events.push_back(rec);
   }
   return s;
-}
-
-void RunContext::restore(ckpt_io::RunState resume) {
-  const ExperimentConfig& config = result_.config;
-  runtime_->finish_restore(resume.runtime);
-  if (resume.gpus.size() != platform_.gpu_count() || resume.cpus.size() != platform_.cpu_count() ||
-      resume.trackers.size() != gpu_energy_.size()) {
-    throw ckpt::CheckpointError{"checkpoint device state does not match the platform"};
-  }
-  for (std::size_t g = 0; g < platform_.gpu_count(); ++g) {
-    const ckpt_io::GpuState& gs = resume.gpus[g];
-    platform_.gpu(g).restore_state(gs.cap_w, gs.busy, gs.failed, gs.meter_power_w,
-                                   gs.meter_joules,
-                                   sim::SimTime::seconds(gs.meter_last_update_s));
-  }
-  for (std::size_t p = 0; p < platform_.cpu_count(); ++p) {
-    const ckpt_io::CpuState& cs = resume.cpus[p];
-    platform_.cpu(p).restore_state(cs.cap_w, cs.active_cores, cs.meter_power_w, cs.meter_joules,
-                                   sim::SimTime::seconds(cs.meter_last_update_s));
-  }
-  for (std::size_t g = 0; g < gpu_energy_.size(); ++g) {
-    const ckpt_io::TrackerState& ts = resume.trackers[g];
-    gpu_energy_[g].restore(ts.offset_j, ts.last_raw_j, ts.resets);
-  }
-  manager_.restore(resume.power,
-                   [this](std::size_t gpu) { runtime_->invalidate_gpu_history(gpu); });
-  if (injector_ != nullptr && resume.has_injector) {
-    injector_->restore(resume.injector, simulator_);
-  }
-  if (config.obs.trace) {
-    runtime_->trace().restore(std::move(resume.trace_spans), std::move(resume.trace_markers));
-  }
-  if (obs_data_ != nullptr && config.obs.metrics) {
-    for (const auto& [name, value] : resume.counters) {
-      obs_data_->metrics.counter(name).restore(value);
-    }
-    for (const auto& [name, value] : resume.gauges) {
-      obs_data_->metrics.gauge(name).set(value);
-    }
-    for (ckpt_io::HistogramState& h : resume.histograms) {
-      obs_data_->metrics.histogram(h.name, h.bounds)
-          .restore(std::move(h.buckets), h.count, h.sum, h.min, h.max);
-    }
-  }
-  if (obs_data_ != nullptr && config.obs.decision_log) {
-    for (obs::Decision& d : resume.decisions) {
-      obs_data_->decisions.add(std::move(d));
-    }
-  }
-  if (config.obs.telemetry_period_ms > 0.0 && obs_data_ != nullptr) {
-    sampler_.restore_series(std::move(resume.telemetry));
-    sampler_.resume(simulator_, sim::SimTime::millis(config.obs.telemetry_period_ms));
-  }
-  for (fault::DegradationEvent& e : resume.degradation) {
-    result_.degradation.add(std::move(e));
-  }
-  t_begin_ = sim::SimTime::seconds(resume.t_begin_s);
-  start_energy_ = resume.start_energy;
-  simulator_.restore_clock(sim::SimTime::seconds(resume.t_virtual_s));
-
-  // Ordered replay: events re-created in ascending original seq occupy
-  // the lowest new seqs, so every same-instant tie resolves as it did in
-  // the checkpointed run.
-  std::vector<bool> begin_replayed(runtime_->worker_count(), false);
-  for (const ckpt_io::EventRecord& e : resume.events) {
-    if (e.kind == ckpt_io::EventKind::kWorkerBegin) {
-      begin_replayed.at(static_cast<std::size_t>(e.index)) = true;
-    }
-  }
-  for (const ckpt_io::EventRecord& e : resume.events) {
-    const sim::SimTime when = sim::SimTime::seconds(e.when_s);
-    switch (e.kind) {
-      case ckpt_io::EventKind::kWorkerBegin:
-        runtime_->reschedule_begin(e.index);
-        break;
-      case ckpt_io::EventKind::kWorkerEnd:
-        runtime_->reschedule_end(e.index, begin_replayed.at(static_cast<std::size_t>(e.index)));
-        break;
-      case ckpt_io::EventKind::kReconcile:
-        manager_.rearm_reconcile_at(when);
-        break;
-      case ckpt_io::EventKind::kTelemetry:
-        sampler_.rearm_at(when);
-        break;
-      case ckpt_io::EventKind::kFault:
-        if (injector_ == nullptr) {
-          throw ckpt::CheckpointError{"checkpoint has a pending fault but no fault plan"};
-        }
-        injector_->rearm_event(static_cast<std::size_t>(e.index), when);
-        break;
-      case ckpt_io::EventKind::kWatchdog:
-        if (checkpointer_ == nullptr) {
-          throw ckpt::CheckpointError{
-              "checkpoint has a pending watchdog probe: resume with the same "
-              "--watchdog-ms as the checkpointed run"};
-        }
-        checkpointer_->rearm_watchdog_at(when, resume.watchdog_progress);
-        break;
-      case ckpt_io::EventKind::kCkptTick:
-        if (checkpointer_ == nullptr) {
-          throw ckpt::CheckpointError{
-              "checkpoint has a pending checkpoint tick: resume with the same "
-              "--checkpoint-every-ms as the checkpointed run"};
-        }
-        checkpointer_->rearm_tick_at(when);
-        break;
-    }
-  }
-  if (checkpointer_ != nullptr) {
-    checkpointer_->arm_missing();
-  }
 }
 
 void RunContext::arm_checkpointer() {

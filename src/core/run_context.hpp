@@ -80,30 +80,23 @@ class RunContext {
   void apply_caps();
 
   /// Starts reconciliation and arms the fault plan per the measurement
-  /// protocol (both skipped mid-run state when `restoring`; drain hooks are
-  /// registered either way).
-  void start_resilience(bool restoring);
+  /// protocol. The parameter is ignored; it is kept for source
+  /// compatibility with existing callers.
+  void start_resilience(bool /*unused*/);
 
   /// Opens the measured window: arms telemetry, stamps t_begin, and takes
-  /// the start-of-window energy reading. Fresh runs only — a resume
-  /// restores the window from the checkpoint instead.
+  /// the start-of-window energy reading.
   void begin_measurement();
 
-  /// Creates the periodic/watchdog checkpointer writing into `session`, if
+  /// Creates the periodic/watchdog checkpointer reporting to `session`, if
   /// its options ask for mid-run checkpoints. Call after task submission.
   void attach_checkpointer(CheckpointSession& session);
 
-  /// Pure read of the complete resumable state; never advances meters or
+  /// Pure read of the complete mid-run state; never advances meters or
   /// the clock, so a run with checkpointing on stays byte-identical.
   [[nodiscard]] ckpt_io::RunState capture_run_state();
 
-  /// Overlays checkpointed dynamic state onto the freshly built component
-  /// graph and replays pending events in original (time, seq) order. The
-  /// runtime must already hold the rebuilt static DAG (finish_restore ran).
-  void restore(ckpt_io::RunState resume);
-
-  /// Arms the checkpointer's fresh-run events (no-op without one; a resume
-  /// re-creates them through restore()'s event replay instead).
+  /// Arms the checkpointer's tick and watchdog (no-op without one).
   void arm_checkpointer();
 
   /// Drains the DAG, closes the measured window, and fills the result

@@ -105,24 +105,6 @@ FaultInjector::Snapshot FaultInjector::snapshot() const {
   return s;
 }
 
-void FaultInjector::restore(const Snapshot& snapshot, sim::Simulator& sim) {
-  rng_.set_state(snapshot.rng_state);
-  armed_ = snapshot.armed;
-  origin_ = sim::SimTime::seconds(snapshot.origin_s);
-  remaining_count_ = snapshot.remaining_count;
-  gpu_dropped_ = snapshot.gpu_dropped;
-  counts_ = snapshot.counts;
-  sim_ = &sim;
-  pending_.clear();
-}
-
-void FaultInjector::rearm_event(std::size_t plan_index, sim::SimTime when) {
-  if (plan_index >= plan_.size()) {
-    throw std::invalid_argument("FaultInjector::rearm_event: plan index out of range");
-  }
-  schedule_timed(plan_index, when);
-}
-
 bool FaultInjector::in_window(const FaultEvent& e, sim::SimTime now, bool relative) const {
   double at = now.sec();
   if (relative) {

@@ -104,8 +104,7 @@ class FaultInjector {
   // -- checkpoint support ---------------------------------------------------
 
   /// Complete mutable state apart from the pending simulator events, which
-  /// are checkpointed (by plan index + fire time) with the global event
-  /// set and re-created via rearm_event().
+  /// are checkpointed (by plan index + fire time) with the global event set.
   struct Snapshot {
     std::array<std::uint64_t, 4> rng_state{};
     bool armed = false;
@@ -115,14 +114,6 @@ class FaultInjector {
     Counts counts;
   };
   [[nodiscard]] Snapshot snapshot() const;
-
-  /// Restores the snapshot without scheduling anything; `sim` becomes the
-  /// clock for subsequent queries and rearm_event() calls.
-  void restore(const Snapshot& snapshot, sim::Simulator& sim);
-
-  /// Re-creates the timed event for plan entry `plan_index` at absolute
-  /// time `when` (checkpoint restore of a not-yet-fired fault).
-  void rearm_event(std::size_t plan_index, sim::SimTime when);
 
   /// Not-yet-fired timed faults as (plan index, event id) pairs.
   [[nodiscard]] const std::vector<std::pair<std::size_t, sim::EventId>>& pending() const {

@@ -127,29 +127,6 @@ void TelemetrySampler::stop() {
   sim_ = nullptr;
 }
 
-void TelemetrySampler::restore_series(std::vector<TelemetrySample> samples) {
-  for (const TelemetrySample& s : samples) {
-    if (s.values.size() != series_.channels_.size()) {
-      throw std::invalid_argument(
-          "TelemetrySampler: restored sample row does not match the channel count");
-    }
-  }
-  series_.samples_ = std::move(samples);
-}
-
-void TelemetrySampler::resume(sim::Simulator& sim, sim::SimTime period) {
-  if (period <= sim::SimTime::zero()) {
-    throw std::invalid_argument("TelemetrySampler: period must be positive");
-  }
-  sim_ = &sim;
-  period_ = period;
-  pending_ = sim::EventId{};
-}
-
-void TelemetrySampler::rearm_at(sim::SimTime when) {
-  pending_ = sim_->at(when, [this] { tick(); });
-}
-
 void attach_platform_channels(TelemetrySampler& sampler, hw::Platform& platform) {
   // The power probes report the energy delta over the elapsed interval
   // divided by its length — the time-weighted average draw — seeded with
@@ -158,8 +135,8 @@ void attach_platform_channels(TelemetrySampler& sampler, hw::Platform& platform)
   // Probes are deliberately stateless: the previous instant's joules are
   // read back from the recorded series (the sibling energy channel of the
   // last row, which is complete because sample_now pushes a row only after
-  // all probes ran). A sampler restored from a checkpointed series then
-  // produces the exact rows the uninterrupted run would have.
+  // all probes ran). The recorded series is therefore the sampler's whole
+  // state: a mid-run checkpoint captures it and nothing else.
   const TelemetrySampler* self = &sampler;
   auto interval_power = [self](auto* device, std::size_t power_channel) {
     return [self, device, power_channel](sim::SimTime now) {

@@ -223,23 +223,6 @@ PowerManager::Snapshot PowerManager::snapshot() const {
   return s;
 }
 
-void PowerManager::restore(const Snapshot& snapshot,
-                           std::function<void(std::size_t gpu)> on_reassert) {
-  if (snapshot.target_mw.size() != platform_.gpu_count()) {
-    throw std::invalid_argument("PowerManager: restored snapshot does not match the GPU count");
-  }
-  best_cap_w_ = snapshot.best_cap_w;
-  target_mw_ = snapshot.target_mw;
-  reconcile_active_ = snapshot.reconcile_active;
-  reconcile_period_ = sim::SimTime::seconds(snapshot.reconcile_period_s);
-  on_reassert_ = std::move(on_reassert);
-  reconcile_event_ = sim::EventId{};
-}
-
-void PowerManager::rearm_reconcile_at(sim::SimTime when) {
-  reconcile_event_ = sim_.at(when, [this] { reconcile_once(); });
-}
-
 void PowerManager::reconcile_once() {
   if (!reconcile_active_) {
     return;

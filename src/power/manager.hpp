@@ -111,8 +111,7 @@ class PowerManager {
   // -- checkpoint support --------------------------------------------------
 
   /// Complete mutable manager state apart from the pending reconcile
-  /// event, which is checkpointed with the global event set and re-created
-  /// via rearm_reconcile_at().
+  /// event, which is checkpointed with the global event set.
   struct Snapshot {
     std::vector<std::optional<double>> best_cap_w;
     std::vector<std::uint32_t> target_mw;
@@ -120,15 +119,6 @@ class PowerManager {
     double reconcile_period_s = 0.0;
   };
   [[nodiscard]] Snapshot snapshot() const;
-
-  /// Restores the snapshot without scheduling anything. `on_reassert`
-  /// re-attaches the caller's reconciliation callback (closures cannot be
-  /// checkpointed).
-  void restore(const Snapshot& snapshot, std::function<void(std::size_t gpu)> on_reassert = {});
-
-  /// Re-creates the pending reconcile event at absolute time `when`
-  /// (checkpoint restore; restore() must have run first).
-  void rearm_reconcile_at(sim::SimTime when);
 
   /// Pending-reconcile handle for checkpoint capture.
   [[nodiscard]] sim::EventId reconcile_event() const { return reconcile_event_; }

@@ -129,7 +129,8 @@ class HistoryPerfModel {
 
   [[nodiscard]] std::vector<HistoryEntry> export_history() const;
   [[nodiscard]] std::vector<RegressionEntry> export_regression() const;
-  /// Replaces the model statistics wholesale (checkpoint restore). A worker
+  /// Replaces the model statistics wholesale (worker invalidation, model
+  /// import across interned-id tables). A worker
   /// outside [0, kMaxWorkers) or a precision other than single/double
   /// throws; a repeated key keeps its last entry.
   void import_state(const std::vector<HistoryEntry>& history,

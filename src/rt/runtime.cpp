@@ -141,9 +141,7 @@ TaskId Runtime::submit(TaskDesc desc) {
 
   ref.unresolved_deps = pending;
   drained_ = false;  // new work re-arms the drain hooks
-  // In restore mode the re-submitted DAG is structure only; true task
-  // states (including readiness) are overlaid by finish_restore().
-  if (pending == 0 && !restoring_) {
+  if (pending == 0) {
     make_ready(ref);
   }
   return id;
@@ -845,121 +843,6 @@ RuntimeSnapshot Runtime::snapshot() const {
   s.perf_regression = perf_model_.export_regression();
   s.structure_digest = structure_digest();
   return s;
-}
-
-void Runtime::begin_restore() {
-  if (!tasks_.empty() || !handles_.empty()) {
-    throw std::logic_error("Runtime::begin_restore: runtime already holds work");
-  }
-  restoring_ = true;
-}
-
-void Runtime::finish_restore(const RuntimeSnapshot& snapshot) {
-  if (!restoring_) {
-    throw std::logic_error("Runtime::finish_restore without begin_restore");
-  }
-  const std::uint64_t digest = structure_digest();
-  if (digest != snapshot.structure_digest) {
-    std::ostringstream oss;
-    oss << "Runtime::finish_restore: re-submitted DAG does not match the checkpoint "
-        << "(structure digest " << digest << " != " << snapshot.structure_digest
-        << "); the resumed binary or configuration differs from the checkpointed run";
-    throw std::runtime_error(oss.str());
-  }
-  if (snapshot.tasks.size() != tasks_.size() || snapshot.workers.size() != workers_.size() ||
-      snapshot.handle_validity.size() != handles_.size() ||
-      snapshot.link_free_s.size() != link_free_.size()) {
-    throw std::runtime_error("Runtime::finish_restore: checkpoint shape mismatch");
-  }
-
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    Task& t = *tasks_[i];
-    const TaskSnapshot& ts = snapshot.tasks[i];
-    t.state = static_cast<TaskState>(ts.state);
-    t.unresolved_deps = ts.unresolved_deps;
-    t.assigned_worker = ts.assigned_worker;
-    t.ready_at = sim::SimTime::seconds(ts.ready_at_s);
-    t.dispatched_at = sim::SimTime::seconds(ts.dispatched_at_s);
-    t.data_ready_at = sim::SimTime::seconds(ts.data_ready_at_s);
-    t.start_time = sim::SimTime::seconds(ts.start_s);
-    t.end_time = sim::SimTime::seconds(ts.end_s);
-    t.attributed_power_w = ts.attributed_power_w;
-    t.decision_index = ts.decision_index;
-  }
-
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    Worker& w = workers_[i];
-    const WorkerSnapshot& ws = snapshot.workers[i];
-    w.busy = ws.busy;
-    w.quarantined = ws.quarantined;
-    w.busy_until = sim::SimTime::seconds(ws.busy_until_s);
-    w.expected_free = sim::SimTime::seconds(ws.expected_free_s);
-    w.link_free = sim::SimTime::seconds(ws.link_free_s);
-    w.inflight = ws.inflight >= 0 ? tasks_.at(static_cast<std::size_t>(ws.inflight)).get()
-                                  : nullptr;
-    // In-flight begin/end events are re-created by the caller's ordered
-    // event replay (reschedule_begin/reschedule_end), not here.
-    w.begin_event = sim::EventId{};
-    w.end_event = sim::EventId{};
-    w.queue.clear();
-    for (const TaskId id : ws.queue) {
-      w.queue.push_back(tasks_.at(static_cast<std::size_t>(id)).get());
-    }
-    w.tasks_executed = ws.tasks_executed;
-    w.busy_seconds = ws.busy_seconds;
-    w.flops_done = ws.flops_done;
-    w.transfer_seconds = ws.transfer_seconds;
-    w.bytes_transferred = ws.bytes_transferred;
-  }
-
-  for (std::size_t i = 0; i < handles_.size(); ++i) {
-    handles_[i]->restore_validity_mask(snapshot.handle_validity[i]);
-  }
-  for (std::size_t i = 0; i < link_free_.size(); ++i) {
-    link_free_[i] = sim::SimTime::seconds(snapshot.link_free_s[i]);
-  }
-
-  tasks_completed_ = snapshot.tasks_completed;
-  flops_completed_ = snapshot.flops_completed;
-  last_completion_ = sim::SimTime::seconds(snapshot.last_completion_s);
-  drained_ = snapshot.drained;
-  rng_.set_state(snapshot.rng_state);
-  scheduler_->restore_state(snapshot.scheduler, [this](TaskId id) {
-    return tasks_.at(static_cast<std::size_t>(id)).get();
-  });
-  perf_model_.import_state(snapshot.perf_history, snapshot.perf_regression);
-  restoring_ = false;
-}
-
-void Runtime::reschedule_begin(WorkerId worker_id) {
-  Worker& w = workers_.at(static_cast<std::size_t>(worker_id));
-  Task* task_ptr = w.inflight;
-  if (task_ptr == nullptr) {
-    throw std::logic_error("Runtime::reschedule_begin: worker has no in-flight task");
-  }
-  Worker* worker_ptr = &w;
-  const sim::SimTime start = task_ptr->start_time;
-  const sim::SimTime end = task_ptr->end_time;
-  w.begin_event = sim_.at(start, [this, task_ptr, worker_ptr, start, end] {
-    begin_execution(*task_ptr, *worker_ptr, start, end);
-  });
-}
-
-void Runtime::reschedule_end(WorkerId worker_id, bool begin_pending) {
-  Worker& w = workers_.at(static_cast<std::size_t>(worker_id));
-  Task* task_ptr = w.inflight;
-  if (task_ptr == nullptr) {
-    throw std::logic_error("Runtime::reschedule_end: worker has no in-flight task");
-  }
-  Worker* worker_ptr = &w;
-  w.end_event = sim_.at(task_ptr->end_time,
-                        [this, task_ptr, worker_ptr] { finish_task(*task_ptr, *worker_ptr); });
-  if (!begin_pending) {
-    // The begin already fired before the checkpoint. Alias its handle to
-    // the end event so handle_dropout's unconditional cancel of both stays
-    // an idempotent double-cancel instead of hitting an unrelated event.
-    w.begin_event = w.end_event;
-  }
 }
 
 RuntimeStats Runtime::stats() const {

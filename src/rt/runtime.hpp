@@ -107,10 +107,9 @@ struct TaskDesc {
   std::vector<TaskId> explicit_deps;
 };
 
-/// Checkpointable dynamic state of one task. Static structure (codelet,
-/// accesses, priority, label, successors) is NOT here: a resume rebuilds it
-/// by re-submitting the same DAG, which is validated against the
-/// checkpoint's structure digest.
+/// Checkpointed dynamic state of one task. Static structure (codelet,
+/// accesses, priority, label, successors) is NOT here: it is pinned by the
+/// snapshot's structure digest.
 struct TaskSnapshot {
   std::uint8_t state = 0;
   std::int32_t unresolved_deps = 0;
@@ -124,9 +123,8 @@ struct TaskSnapshot {
   std::int64_t decision_index = -1;
 };
 
-/// Checkpointable dynamic state of one worker. The in-flight begin/end
-/// simulator events are checkpointed with the global pending-event set and
-/// re-created via reschedule_begin()/reschedule_end().
+/// Checkpointed dynamic state of one worker. The in-flight begin/end
+/// simulator events are checkpointed with the global pending-event set.
 struct WorkerSnapshot {
   bool busy = false;
   bool quarantined = false;
@@ -142,7 +140,7 @@ struct WorkerSnapshot {
   std::uint64_t bytes_transferred = 0;
 };
 
-/// Complete resumable runtime state, captured mid-run.
+/// Complete dynamic runtime state, captured mid-run.
 struct RuntimeSnapshot {
   std::vector<TaskSnapshot> tasks;
   std::vector<WorkerSnapshot> workers;
@@ -156,8 +154,8 @@ struct RuntimeSnapshot {
   SchedulerSnapshot scheduler;
   std::vector<HistoryPerfModel::HistoryEntry> perf_history;
   std::vector<HistoryPerfModel::RegressionEntry> perf_regression;
-  /// FNV-1a over the static DAG structure; a resume whose re-submitted DAG
-  /// hashes differently is rejected instead of silently diverging.
+  /// FNV-1a over the static DAG structure, so a resume's witness check
+  /// also fails when the re-run built a different DAG.
   std::uint64_t structure_digest = 0;
 };
 
@@ -281,29 +279,6 @@ class Runtime final : public SchedulerContext {
   /// re-submissions, different for any structural divergence.
   [[nodiscard]] std::uint64_t structure_digest() const;
 
-  /// Enters restore mode: subsequent submit() calls rebuild the DAG
-  /// structure but do NOT make dependency-free tasks ready — the true task
-  /// states are overlaid by finish_restore().
-  void begin_restore();
-
-  /// Overlays the checkpointed dynamic state onto the re-submitted DAG and
-  /// leaves restore mode. Throws std::runtime_error if the re-submitted
-  /// structure does not match the checkpoint's digest or shapes. In-flight
-  /// begin/end events are NOT re-created here; the caller replays them in
-  /// original scheduling order via reschedule_begin()/reschedule_end().
-  void finish_restore(const RuntimeSnapshot& snapshot);
-
-  /// Re-creates the in-flight begin event for `worker_id`'s restored task
-  /// at its checkpointed start time.
-  void reschedule_begin(WorkerId worker_id);
-
-  /// Re-creates the in-flight end event for `worker_id`'s restored task at
-  /// its checkpointed end time. `begin_pending` says whether the matching
-  /// begin event was also re-created; when it already fired before the
-  /// checkpoint, begin_event is aliased to end_event so a later dropout's
-  /// unconditional cancel stays an idempotent double-cancel.
-  void reschedule_end(WorkerId worker_id, bool begin_pending);
-
   // -- SchedulerContext ------------------------------------------------------
   [[nodiscard]] std::vector<Worker>& workers() override { return workers_; }
   [[nodiscard]] sim::SimTime now() const override { return sim_.now(); }
@@ -346,9 +321,6 @@ class Runtime final : public SchedulerContext {
   sim::SimTime last_completion_;
   std::vector<std::function<void()>> drain_hooks_;
   bool drained_ = false;
-  /// Restore mode (between begin_restore() and finish_restore()): submit()
-  /// rebuilds structure without making tasks ready.
-  bool restoring_ = false;
 
   // Cached metric handles (null when options_.metrics is null) so the
   // execution path pays one pointer test, not a map lookup.

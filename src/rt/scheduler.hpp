@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -91,11 +90,8 @@ class Scheduler {
   /// eligible for the worker once it is marked quarantined.
   [[nodiscard]] virtual std::vector<Task*> evict(Worker& worker);
 
-  /// Checkpoint capture/restore of the policy's queue state. `resolve`
-  /// maps a checkpointed TaskId back to the live task object.
+  /// Checkpoint capture of the policy's queue state.
   [[nodiscard]] virtual SchedulerSnapshot snapshot_state() const { return {}; }
-  virtual void restore_state(const SchedulerSnapshot& /*snapshot*/,
-                             const std::function<Task*(TaskId)>& /*resolve*/) {}
 
  protected:
   SchedulerContext& ctx() { return *ctx_; }
@@ -121,11 +117,6 @@ class EagerScheduler final : public Scheduler {
     for (const Task* t : fifo_) s.central.push_back(t->id());
     return s;
   }
-  void restore_state(const SchedulerSnapshot& snapshot,
-                     const std::function<Task*(TaskId)>& resolve) override {
-    fifo_.clear();
-    for (const TaskId id : snapshot.central) fifo_.push_back(resolve(id));
-  }
 
  private:
   std::deque<Task*> fifo_;
@@ -144,10 +135,6 @@ class RandomScheduler final : public Scheduler {
     SchedulerSnapshot s;
     s.pending = pending_;
     return s;
-  }
-  void restore_state(const SchedulerSnapshot& snapshot,
-                     const std::function<Task*(TaskId)>& /*resolve*/) override {
-    pending_ = static_cast<std::size_t>(snapshot.pending);
   }
 
  protected:
@@ -170,11 +157,6 @@ class WorkStealingScheduler : public Scheduler {
     s.pending = pending_;
     s.cursor = next_;
     return s;
-  }
-  void restore_state(const SchedulerSnapshot& snapshot,
-                     const std::function<Task*(TaskId)>& /*resolve*/) override {
-    pending_ = static_cast<std::size_t>(snapshot.pending);
-    next_ = static_cast<std::size_t>(snapshot.cursor);
   }
 
  protected:
@@ -212,11 +194,6 @@ class PrioScheduler final : public Scheduler {
     for (const Task* t : queue_) s.central.push_back(t->id());
     return s;
   }
-  void restore_state(const SchedulerSnapshot& snapshot,
-                     const std::function<Task*(TaskId)>& resolve) override {
-    queue_.clear();
-    for (const TaskId id : snapshot.central) queue_.push_back(resolve(id));
-  }
 
  private:
   std::deque<Task*> queue_;  // kept sorted by priority, descending
@@ -235,10 +212,6 @@ class DmScheduler : public Scheduler {
     SchedulerSnapshot s;
     s.pending = pending_;
     return s;
-  }
-  void restore_state(const SchedulerSnapshot& snapshot,
-                     const std::function<Task*(TaskId)>& /*resolve*/) override {
-    pending_ = static_cast<std::size_t>(snapshot.pending);
   }
 
  protected:

@@ -43,17 +43,6 @@ class Simulator {
   /// Fire time of a pending event. Precondition: pending(id).
   [[nodiscard]] SimTime time_of(EventId id) const { return queue_.time_of(id); }
 
-  /// Forces the clock to `when` without executing events. Checkpoint
-  /// restore only: lets the restored pending-event set be re-created with
-  /// at() against the checkpointed clock. `when` must not move time
-  /// backwards past already-scheduled events.
-  void restore_clock(SimTime when) {
-    if (when < now_) {
-      throw TimeTravelError{"restore_clock would move the virtual clock backwards"};
-    }
-    now_ = when;
-  }
-
   /// Runs until the event set is exhausted. Returns the final clock value.
   SimTime run();
 

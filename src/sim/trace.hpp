@@ -55,13 +55,6 @@ class Trace {
 
   void clear();
 
-  /// Replaces the recorded spans/markers wholesale (checkpoint restore).
-  /// The enabled flag is untouched: it is configuration, not history.
-  void restore(std::vector<Span> spans, std::vector<Marker> markers) {
-    spans_ = std::move(spans);
-    markers_ = std::move(markers);
-  }
-
   /// Spans on one resource, in begin-time order.
   [[nodiscard]] std::vector<Span> spans_on(std::int32_t resource) const;
 

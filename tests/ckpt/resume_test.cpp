@@ -2,10 +2,13 @@
 // killed at an arbitrary checkpoint write (the chaos kill hook fires
 // _Exit(137) the instant the rename lands, like SIGKILL) and resumed from
 // the surviving file produces a byte-identical result — including under
-// in-flight fault injection and degradation (the ISSUE's resume-under-
-// faults scenario). Kill points are exercised via gtest death tests, so
-// the write-then-die happens in a forked child and the parent resumes
-// from the file the child left behind.
+// in-flight fault injection and degradation. A resume re-runs the
+// in-flight experiment from its start and checks its state at the
+// checkpointed instant against the saved one (the witness); a tampered
+// witness or a period that never reaches that instant is an error. Kill
+// points are exercised via gtest death tests, so the write-then-die
+// happens in a forked child and the parent resumes from the file the
+// child left behind.
 #include "core/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -124,6 +127,47 @@ TEST_F(ResumeTest, ResumeUnderFaultsReplaysPendingEventsIdentically) {
     EXPECT_EQ(resumed.fault_counts.dropouts, reference.fault_counts.dropouts);
     EXPECT_EQ(resumed.fault_counts.cap_write_failures,
               reference.fault_counts.cap_write_failures);
+  }
+}
+
+TEST_F(ResumeTest, ResumeRejectsATamperedWitness) {
+  const ExperimentConfig cfg = small_run(false);
+  EXPECT_EXIT(run_and_die(cfg, 2), ::testing::ExitedWithCode(137), "");
+  greencap::ckpt::CheckpointFile file = greencap::ckpt::read_checkpoint_file(path_);
+  ASSERT_EQ(file.manifest.kind, "run");
+  // The encoded RunState is the payload's last field and starts with its
+  // section tag. Flip one byte in its middle and re-wrap the payload, so
+  // both CRCs are valid and only the witness itself disagrees.
+  const std::size_t state_at = file.payload.rfind("RUN1");
+  ASSERT_NE(state_at, std::string::npos);
+  const std::size_t flip_at = state_at + (file.payload.size() - state_at) / 2;
+  file.payload[flip_at] = static_cast<char>(file.payload[flip_at] ^ 0x01);
+  greencap::ckpt::write_checkpoint_file(path_, file.manifest, file.payload);
+  try {
+    (void)resume(cfg);
+    FAIL() << "a tampered witness was accepted";
+  } catch (const greencap::ckpt::CheckpointError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("witness mismatch"), std::string::npos) << what;
+    EXPECT_NE(what.find("t=0.02 s"), std::string::npos) << what;
+  }
+}
+
+TEST_F(ResumeTest, ResumeWithAnotherCheckpointPeriodThrows) {
+  const ExperimentConfig cfg = small_run(false);
+  EXPECT_EXIT(run_and_die(cfg, 3), ::testing::ExitedWithCode(137), "");
+  // Ticks every 7 ms never land on the checkpointed t = 30 ms, so the
+  // re-run cannot check the witness and must not finish silently.
+  CheckpointOptions opts;
+  opts.resume_path = path_;
+  opts.every_ms = 7.0;
+  CheckpointSession session{opts};
+  ASSERT_FALSE(session.try_replay(cfg).has_value());
+  try {
+    (void)run_experiment(cfg, &session);
+    FAIL() << "resume with another --checkpoint-every-ms finished silently";
+  } catch (const greencap::ckpt::CheckpointError& e) {
+    EXPECT_NE(std::string{e.what()}.find("t=0.03 s"), std::string::npos) << e.what();
   }
 }
 
