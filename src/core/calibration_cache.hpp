@@ -1,13 +1,15 @@
 // Shared warmup cache for campaign runs.
 //
-// Two pieces of per-run setup are pure functions of the configuration: the
-// per-GPU best-cap sweep (power::find_best_cap_w) and the perf-model
+// Three pieces of per-run setup are pure functions of the configuration:
+// the per-GPU best-cap sweep (power::find_best_cap_w), the perf-model
 // calibration campaign (its finished flat history model, see
-// rt::CalibrationRecord). The cache memoizes both so a campaign computes
-// each distinct key once and every other run reuses the immutable
-// snapshot; a calibration hit is one bulk copy of that model into the
-// run's empty one. Neither dominates a paper-size run (perfbench/README.md),
-// but on small advisor queries a hit saves most of a cold calibration.
+// rt::CalibrationRecord) and the task graph (rt::TaskGraph, a function of
+// operation, n, nb and precision only). The cache memoizes all three so a
+// campaign computes each distinct key once and every other run reuses the
+// immutable value: a calibration hit is one bulk copy of that model into
+// the run's empty one, a graph hit instantiates the shared graph instead
+// of submitting and wiring every task again. Calibrations and best caps
+// count toward hits()/misses(); graphs have their own counters.
 //
 // Thread safety: lookups are safe from any number of worker threads. Each
 // key computes exactly once — every entry has its own mutex, held across
@@ -47,10 +49,19 @@ class CalibrationCache {
   const rt::CalibrationRecord& calibration(
       const std::string& key, const std::function<rt::CalibrationRecord()>& compute);
 
-  /// Lookup counters (hit = entry already existed). Approximate under
-  /// concurrency only in their ordering, never in their totals.
+  /// Sealed task graph for `key`, built via `compute` on first use. The
+  /// graph stays alive (and unchanged) for the cache's lifetime.
+  const std::shared_ptr<const rt::TaskGraph>& graph(
+      const std::string& key, const std::function<std::shared_ptr<const rt::TaskGraph>()>& compute);
+
+  /// Lookup counters of best caps and calibrations (hit = entry already
+  /// existed). Approximate under concurrency only in their ordering, never
+  /// in their totals.
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
+  /// The same counters for graph lookups.
+  [[nodiscard]] std::uint64_t graph_hits() const;
+  [[nodiscard]] std::uint64_t graph_misses() const;
 
  private:
   template <typename V>
@@ -72,17 +83,22 @@ class CalibrationCache {
     return e.value;
   }
 
-  /// Finds or creates the entry for `key`, bumping hit/miss counters.
+  struct Counts {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+
+  /// Finds or creates the entry for `key`, bumping `counts`.
   template <typename V>
   Entry<V>& slot(std::map<std::string, std::unique_ptr<Entry<V>>>& entries,
-                 const std::string& key) {
+                 const std::string& key, Counts& counts) {
     const std::lock_guard<std::mutex> lock{mu_};
     std::unique_ptr<Entry<V>>& e = entries[key];
     if (e == nullptr) {
       e = std::make_unique<Entry<V>>();
-      ++misses_;
+      ++counts.misses;
     } else {
-      ++hits_;
+      ++counts.hits;
     }
     return *e;
   }
@@ -90,8 +106,9 @@ class CalibrationCache {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Entry<double>>> caps_;
   std::map<std::string, std::unique_ptr<Entry<rt::CalibrationRecord>>> calibrations_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
+  std::map<std::string, std::unique_ptr<Entry<std::shared_ptr<const rt::TaskGraph>>>> graphs_;
+  Counts warmups_;  ///< best caps and calibrations
+  Counts graph_counts_;
 };
 
 }  // namespace greencap::core

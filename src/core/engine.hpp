@@ -7,8 +7,9 @@
 //
 //   * every run gets an isolated context — no shared mutable state;
 //   * the only cross-run sharing is the CalibrationCache, whose snapshots
-//     are immutable and whose cached warmups are bit-identical to local
-//     computation (see core/calibration_cache.hpp);
+//     and task graphs are immutable and whose cached warmups and graphs
+//     are bit-identical to local computation (see
+//     core/calibration_cache.hpp);
 //   * results are collected by input index, and the on_result hook fires on
 //     the calling thread in strict index order as each prefix completes —
 //     artifact and stdout emission therefore order identically at any

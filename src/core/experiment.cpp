@@ -99,6 +99,37 @@ std::string calibration_key(const ExperimentConfig& config) {
   return oss.str();
 }
 
+/// Cache key for a task graph: the DAG is a pure function of the
+/// operation, the matrix and tile sizes, and the precision. Scheduler,
+/// caps and platform change only how it runs.
+std::string graph_key(const ExperimentConfig& config) {
+  std::string key = "graph|";
+  key += to_string(config.op);
+  key += '|';
+  key += std::to_string(config.n);
+  key += '|';
+  key += std::to_string(config.nb);
+  key += '|';
+  key += hw::to_string(config.precision);
+  return key;
+}
+
+/// Every codelet family of scalar type T, one immutable set per process:
+/// cached task graphs point into it from any run, on any thread.
+template <typename T>
+struct Kernels {
+  la::Codelets<T> tile;
+  la::LuCodelets<T> lu;
+  la::QrCodelets<T> qr;
+  la::LqCodelets<T> lq;
+};
+
+template <typename T>
+const Kernels<T>& kernels() {
+  static const Kernels<T> k;
+  return k;
+}
+
 template <typename T>
 ExperimentResult run_typed(const ExperimentConfig& config, CheckpointSession* session,
                            const RunServices& services) {
@@ -121,19 +152,17 @@ ExperimentResult run_typed(const ExperimentConfig& config, CheckpointSession* se
   rt::Runtime& runtime = ctx.runtime();
 
   // -- model calibration -------------------------------------------------------
-  la::Codelets<T> codelets;
-  la::LuCodelets<T> lu_codelets;
-  la::QrCodelets<T> qr_codelets;
-  la::LqCodelets<T> lq_codelets;
+  const Kernels<T>& k = kernels<T>();
+  const la::Codelets<T>& codelets = k.tile;
   rt::Calibrator calibrator{runtime};
   auto calibrate_all = [&] {
     la::calibrate_codelets<T>(calibrator, codelets, {config.nb});
     if (config.op == Operation::kGetrf) {
-      la::calibrate_lu_codelets<T>(calibrator, lu_codelets, {config.nb});
+      la::calibrate_lu_codelets<T>(calibrator, k.lu, {config.nb});
     } else if (config.op == Operation::kGeqrf) {
-      la::calibrate_qr_codelets<T>(calibrator, qr_codelets, {config.nb});
+      la::calibrate_qr_codelets<T>(calibrator, k.qr, {config.nb});
     } else if (config.op == Operation::kGelqf) {
-      la::calibrate_lq_codelets<T>(calibrator, lq_codelets, {config.nb});
+      la::calibrate_lq_codelets<T>(calibrator, k.lq, {config.nb});
     }
   };
   // Warm the history models, via the campaign cache when one is wired in:
@@ -220,12 +249,31 @@ ExperimentResult run_typed(const ExperimentConfig& config, CheckpointSession* se
 
   ctx.begin_measurement();
 
-  switch (config.op) {
-    case Operation::kGemm: la::submit_gemm<T>(runtime, codelets, a, *b, *c); break;
-    case Operation::kPotrf: la::submit_potrf<T>(runtime, codelets, a); break;
-    case Operation::kGetrf: la::submit_getrf<T>(runtime, lu_codelets, a); break;
-    case Operation::kGeqrf: la::submit_geqrf<T>(runtime, qr_codelets, a, *workspace); break;
-    case Operation::kGelqf: la::submit_gelqf<T>(runtime, lq_codelets, a, *workspace); break;
+  auto submit_all = [&] {
+    switch (config.op) {
+      case Operation::kGemm: la::submit_gemm<T>(runtime, codelets, a, *b, *c); break;
+      case Operation::kPotrf: la::submit_potrf<T>(runtime, codelets, a); break;
+      case Operation::kGetrf: la::submit_getrf<T>(runtime, k.lu, a); break;
+      case Operation::kGeqrf: la::submit_geqrf<T>(runtime, k.qr, a, *workspace); break;
+      case Operation::kGelqf: la::submit_gelqf<T>(runtime, k.lq, a, *workspace); break;
+    }
+  };
+  // With a campaign cache, the first run of a shape builds its graph by
+  // submission and shares it; every later run instantiates that graph
+  // over its own handles, registered above in the same order. Either way
+  // the runtime ends up in the same state.
+  if (CalibrationCache* cache = ctx.calibration_cache()) {
+    bool built_here = false;
+    const std::shared_ptr<const rt::TaskGraph>& graph = cache->graph(graph_key(config), [&] {
+      submit_all();
+      built_here = true;
+      return runtime.graph();
+    });
+    if (!built_here) {
+      runtime.instantiate(graph);
+    }
+  } else {
+    submit_all();
   }
 
   // -- mid-run checkpoints ------------------------------------------------------

@@ -45,10 +45,20 @@ double parse_double(const std::string& s, const std::string& key) {
   }
 }
 
-int parse_int(const std::string& s, const std::string& key) {
-  const double v = parse_double(s, key);
-  if (v != std::floor(v)) fail("'" + key + "' must be an integer, got " + s);
+/// The one integer reader of both grammars: `v` must be integral and fit
+/// an int (casting anything else is undefined behaviour).
+int to_int(double v, const std::string& key) {
+  if (!(v == std::floor(v) && v >= std::numeric_limits<int>::min() &&
+        v <= std::numeric_limits<int>::max())) {
+    std::ostringstream os;
+    os << "'" << key << "' must be an integer in int range, got " << v;
+    fail(os.str());
+  }
   return static_cast<int>(v);
+}
+
+int parse_int(const std::string& s, const std::string& key) {
+  return to_int(parse_double(s, key), key);
 }
 
 void set_key(FaultEvent& e, const std::string& key, const std::string& value) {
@@ -188,13 +198,13 @@ class JsonReader {
         e.kind = kind_from_string(read_string());
         have_kind = true;
       } else if (key == "gpu") {
-        e.gpu = static_cast<int>(read_number());
+        e.gpu = to_int(read_number(), "gpu");
       } else if (key == "code") {
         e.code = code_from_string(read_string());
       } else if (key == "perm") {
         e.permanent = read_bool();
       } else if (key == "count") {
-        e.count = static_cast<int>(read_number());
+        e.count = to_int(read_number(), "count");
       } else if (key == "t") {
         e.t = read_number();
       } else if (key == "until") {
@@ -352,7 +362,9 @@ void FaultPlan::validate() const {
       fail(std::string{fault::to_string(e.kind)} + " needs an explicit gpuN target");
     }
     if (e.t < 0.0) fail("negative activation time");
-    if (e.probability < 0.0 || e.probability > 1.0) fail("probability must be in [0, 1]");
+    if (!std::isfinite(e.t) || std::isnan(e.until)) fail("activation window must be numeric");
+    if (!(e.probability >= 0.0 && e.probability <= 1.0)) fail("probability must be in [0, 1]");
+    if (!std::isfinite(e.factor) || !std::isfinite(e.watts)) fail("factor/watts must be finite");
     if (e.count < 0) fail("count must be >= 0");
     switch (e.kind) {
       case FaultKind::kCapDrift:

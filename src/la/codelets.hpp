@@ -65,15 +65,15 @@ template <typename T>
 struct Tiles {
   rt::Task& task;
   [[nodiscard]] T* operator[](std::size_t access_index) const {
-    return static_cast<T*>(task.accesses()[access_index].handle->host_ptr());
+    return static_cast<T*>(task.handle(access_index)->host_ptr());
   }
 };
 
 /// Kernels silently skip when handles carry no storage (metadata-only
 /// timing simulations).
 [[nodiscard]] inline bool has_storage(const rt::Task& task) {
-  for (const rt::TaskAccess& a : task.accesses()) {
-    if (a.handle->host_ptr() == nullptr) {
+  for (std::size_t i = 0; i < task.accesses().size(); ++i) {
+    if (task.handle(i)->host_ptr() == nullptr) {
       return false;
     }
   }
@@ -111,7 +111,7 @@ template <typename T, typename Args, typename Kernel>
   codelet.where = rt::kWhereAny;
   codelet.cpu_func = [kernel](rt::Task& task) {
     if (!detail::has_storage(task)) return;
-    kernel(std::any_cast<const Args&>(task.arg), detail::Tiles<T>{task});
+    kernel(std::any_cast<const Args&>(task.arg()), detail::Tiles<T>{task});
   };
   return codelet;
 }

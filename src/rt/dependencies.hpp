@@ -11,65 +11,62 @@
 
 #include "rt/data_handle.hpp"
 #include "rt/task.hpp"
+#include "rt/task_graph.hpp"
 #include "rt/types.hpp"
 
 namespace greencap::rt {
 
 class DependencyTracker {
  public:
-  /// Registers `task`'s accesses, wiring edges from earlier conflicting
-  /// tasks. `lookup` resolves TaskId -> Task& for predecessor updates.
-  /// Returns the number of unresolved predecessors (0 = immediately ready).
-  template <typename TaskLookup>
-  std::int32_t register_task(Task& task, TaskLookup&& lookup) {
+  /// Wires task `id`, the last task added to `graph`, to the earlier tasks
+  /// its accesses conflict with, resolving handle ids through `handles`.
+  /// `retired(pred)` says whether a predecessor already completed (it then
+  /// gates nothing). Returns the number of edges added (0 = ready).
+  template <typename Retired>
+  std::int32_t register_task(TaskGraph& graph, TaskId id, const HandleTable& handles,
+                             Retired&& retired) {
+    last_successor_.resize(static_cast<std::size_t>(id) + 1, kInvalidTask);
     std::int32_t pending = 0;
-    for (const TaskAccess& access : task.accesses()) {
-      DataHandle& handle = *access.handle;
+    for (const GraphAccess& access : graph.accesses(id)) {
+      DataHandle& handle = *handles[access.handle];
       if (access.mode == AccessMode::kRead) {
         // RAW: depend on the last writer, if still in flight.
-        pending += add_edge_from(handle.last_writer, task, lookup);
-        handle.readers_since_write.push_back(task.id());
+        pending += link(graph, handle.last_writer, id, /*data=*/true, retired);
+        handle.readers_since_write.push_back(id);
       } else {
         // WAR: depend on every reader since the last write.
         for (TaskId reader : handle.readers_since_write) {
-          pending += add_edge_from(reader, task, lookup);
+          pending += link(graph, reader, id, /*data=*/true, retired);
         }
         // WAW: and on the last writer itself (covers back-to-back writes).
-        pending += add_edge_from(handle.last_writer, task, lookup);
+        pending += link(graph, handle.last_writer, id, /*data=*/true, retired);
         handle.readers_since_write.clear();
-        handle.last_writer = task.id();
+        handle.last_writer = id;
       }
     }
     return pending;
   }
 
-  [[nodiscard]] std::uint64_t edge_count() const { return edges_; }
-
- private:
-  template <typename TaskLookup>
-  std::int32_t add_edge_from(TaskId pred_id, Task& task, TaskLookup&& lookup) {
-    if (pred_id == kInvalidTask || pred_id == task.id()) {
-      return 0;
+  /// Adds the edge pred -> succ unless pred is invalid, is succ, retired, or
+  /// already has that edge. Returns whether it added one. Every edge into
+  /// succ is added while succ registers, so an existing pred -> succ edge
+  /// is always pred's latest.
+  template <typename Retired>
+  bool link(TaskGraph& graph, TaskId pred, TaskId succ, bool data, Retired&& retired) {
+    if (pred == kInvalidTask || pred == succ || retired(pred)) {
+      return false;
     }
-    Task* pred = lookup(pred_id);
-    if (pred == nullptr || pred->state == TaskState::kDone) {
-      return 0;
+    TaskId& last = last_successor_[static_cast<std::size_t>(pred)];
+    if (last == succ) {
+      return false;
     }
-    // Duplicate edges between the same pair are harmless for correctness
-    // but would double-count unresolved_deps; dedupe against the tail of
-    // the predecessor's successor list (duplicates are always adjacent or
-    // near-adjacent because a task's accesses are processed together).
-    for (auto it = pred->successors.rbegin(); it != pred->successors.rend(); ++it) {
-      if (*it == task.id()) {
-        return 0;
-      }
-    }
-    pred->successors.push_back(task.id());
-    ++edges_;
-    return 1;
+    last = succ;
+    graph.add_edge(pred, succ, data);
+    return true;
   }
 
-  std::uint64_t edges_ = 0;
+ private:
+  std::vector<TaskId> last_successor_;  ///< per task: the successor of its latest edge
 };
 
 }  // namespace greencap::rt

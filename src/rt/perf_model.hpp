@@ -9,8 +9,8 @@
 // each modification to the power capping settings. Thus, the scheduler is
 // implicitly informed of the changes."
 //
-// Layout: codelet names are interned once to dense ids (Runtime::submit
-// caches the id on the Task, Calibrator::calibrate on its set), and every
+// Layout: codelet names are interned once to dense ids (the runtime
+// caches the id on each Task, Calibrator::calibrate on its set), and every
 // (codelet id, worker, precision) owns one slot of a flat array. A slot
 // holds the regression accumulators and the head of a short chain of
 // per-size statistics in a shared pool, so the scheduler's expected() and

@@ -106,45 +106,113 @@ TaskId Runtime::submit(TaskDesc desc) {
                                 "' can run nowhere");
   }
   const TaskId id = static_cast<TaskId>(tasks_.size());
-  auto task = std::make_unique<Task>(id, desc.codelet, desc.work);
-  task->priority = desc.priority;
-  task->perf_codelet = perf_model_.intern(desc.codelet->name);
-  task->label = desc.label.empty() ? desc.codelet->name + "#" + std::to_string(id)
-                                   : std::move(desc.label);
-  task->accesses() = std::move(desc.accesses);
-  task->arg = std::move(desc.arg);
-  Task& ref = *task;
-  tasks_.push_back(std::move(task));
-  if (m_tasks_submitted_ != nullptr) {
-    m_tasks_submitted_->inc();
-  }
-
-  std::int32_t pending =
-      deps_.register_task(ref, [this](TaskId tid) { return tasks_[tid].get(); });
-
-  // Explicit (tag-style) dependencies on top of the inferred data edges.
   for (TaskId dep : desc.explicit_deps) {
     if (dep < 0 || dep >= id) {
       throw std::invalid_argument("Runtime::submit: explicit dependency " +
                                   std::to_string(dep) + " must reference an earlier task");
     }
-    Task& pred = *tasks_[dep];
-    if (pred.state == TaskState::kDone) {
-      continue;
+  }
+  if (building_ == nullptr) {
+    if (graph_ != nullptr) {
+      throw std::logic_error("Runtime::submit: the task graph is shared or instantiated");
     }
-    if (std::find(pred.successors.begin(), pred.successors.end(), id) ==
-        pred.successors.end()) {
-      pred.successors.push_back(id);
+    auto graph = std::make_shared<TaskGraph>();
+    building_ = graph.get();
+    graph_ = std::move(graph);
+  }
+  building_->add_task(*desc.codelet, desc.work, desc.priority, std::move(desc.label),
+                      std::move(desc.arg), desc.accesses);
+  const std::uint32_t codelet = building_->codelet_index(id);
+  if (codelet == perf_codelets_.size()) {
+    perf_codelets_.push_back(perf_model_.intern(desc.codelet->name));
+  }
+  Task& task = tasks_.emplace_back(*graph_, handles_);
+  task.perf_codelet = perf_codelets_[codelet];
+  if (m_tasks_submitted_ != nullptr) {
+    m_tasks_submitted_->inc();
+  }
+
+  const auto retired = [this](TaskId pred) {
+    return tasks_[static_cast<std::size_t>(pred)].state == TaskState::kDone;
+  };
+  std::int32_t pending = deps_.register_task(*building_, id, handles_, retired);
+  // Explicit (tag-style) dependencies on top of the inferred data edges.
+  for (TaskId dep : desc.explicit_deps) {
+    if (deps_.link(*building_, dep, id, /*data=*/false, retired)) {
       ++pending;
     }
   }
 
-  ref.unresolved_deps = pending;
+  building_->set_initial_deps(id, pending);
+  task.unresolved_deps = pending;
   drained_ = false;  // new work re-arms the drain hooks
   if (pending == 0) {
-    make_ready(ref);
+    make_ready(task);
   }
   return id;
+}
+
+void Runtime::instantiate(std::shared_ptr<const TaskGraph> graph) {
+  if (graph == nullptr) {
+    throw std::invalid_argument("Runtime::instantiate: null graph");
+  }
+  if (graph_ != nullptr) {
+    throw std::logic_error("Runtime::instantiate: the runtime already has tasks");
+  }
+  if (!graph->folded()) {
+    throw std::invalid_argument("Runtime::instantiate: the graph is not sealed");
+  }
+  if (graph->handle_bound() > handles_.size()) {
+    throw std::invalid_argument("Runtime::instantiate: the graph names " +
+                                std::to_string(graph->handle_bound()) + " handles, " +
+                                std::to_string(handles_.size()) + " are registered");
+  }
+  graph_ = std::move(graph);
+  const TaskGraph& g = *graph_;
+  for (const Codelet* codelet : g.codelets()) {
+    perf_codelets_.push_back(perf_model_.intern(codelet->name));
+  }
+  const std::size_t n = g.size();
+  tasks_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Task& task = tasks_.emplace_back(g, handles_);
+    const auto id = static_cast<TaskId>(i);
+    task.perf_codelet = perf_codelets_[g.codelet_index(id)];
+    task.unresolved_deps = g.initial_deps(id);
+  }
+  if (m_tasks_submitted_ != nullptr) {
+    m_tasks_submitted_->inc(n);
+  }
+  if (n > 0) {
+    drained_ = false;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (tasks_[i].unresolved_deps == 0) {
+      make_ready(tasks_[i]);
+    }
+  }
+}
+
+std::shared_ptr<const TaskGraph> Runtime::graph() {
+  if (building_ != nullptr) {
+    building_->seal();
+    building_ = nullptr;
+  }
+  return graph_;
+}
+
+const Task& Runtime::task(TaskId id) const {
+  if (id < 0 || static_cast<std::size_t>(id) >= tasks_.size()) {
+    throw std::out_of_range("Runtime::task: no task " + std::to_string(id));
+  }
+  fold_edges();
+  return tasks_[static_cast<std::size_t>(id)];
+}
+
+void Runtime::fold_edges() const {
+  if (building_ != nullptr) {
+    building_->fold_edges();
+  }
 }
 
 void Runtime::make_ready(Task& task) {
@@ -199,7 +267,7 @@ sim::SimTime Runtime::stage_data(Task& task, Worker& worker) {
     }
     if (trace_.enabled()) {
       trace_.add_span({sim::SpanKind::kTransfer, static_cast<std::int32_t>(1000 + gpu_index),
-                       task.id(), "xfer:" + task.label, start, done});
+                       task.id(), std::string{"xfer:"}.append(task.label()), start, done});
     }
     return done;
   };
@@ -214,8 +282,8 @@ sim::SimTime Runtime::stage_data(Task& task, Worker& worker) {
     throw std::runtime_error("Runtime: handle '" + h.name() + "' valid nowhere");
   };
 
-  for (TaskAccess& access : task.accesses()) {
-    DataHandle& h = *access.handle;
+  for (const GraphAccess& access : task.accesses()) {
+    DataHandle& h = *handles_[access.handle];
     const MemoryNode target = worker.node();
     if (h.valid_on(target)) {
       continue;
@@ -359,7 +427,8 @@ void Runtime::begin_execution(Task& task, Worker& worker, sim::SimTime start, si
   // Timing is unaffected — data dependencies already serialize conflicting
   // accesses, so observable results are identical either way.
   if (trace_.enabled()) {
-    trace_.add_span({sim::SpanKind::kTask, worker.id(), task.id(), task.label, start, end});
+    trace_.add_span(
+        {sim::SpanKind::kTask, worker.id(), task.id(), std::string{task.label()}, start, end});
   }
 }
 
@@ -378,9 +447,9 @@ void Runtime::finish_task(Task& task, Worker& worker) {
   }
 
   // Writes take ownership of the data on the executing node.
-  for (TaskAccess& access : task.accesses()) {
+  for (const GraphAccess& access : task.accesses()) {
     if (is_write(access.mode)) {
-      access.handle->writer_takes(worker.node());
+      handles_[access.handle]->writer_takes(worker.node());
     }
   }
 
@@ -405,14 +474,22 @@ void Runtime::finish_task(Task& task, Worker& worker) {
   }
   if (m_tasks_completed_ != nullptr) {
     m_tasks_completed_->inc();
-    obs::MetricsRegistry& reg = *options_.metrics;
-    reg.histogram("rt.exec_s." + task.codelet().name).observe(exec_s);
-    reg.histogram("rt.queue_wait_s." + task.codelet().name)
-        .observe((task.start_time - task.ready_at).sec());
+    if (task.perf_codelet >= m_codelet_histograms_.size()) {
+      m_codelet_histograms_.resize(task.perf_codelet + 1);
+    }
+    CodeletHistograms& h = m_codelet_histograms_[task.perf_codelet];
+    if (h.exec_s == nullptr) {
+      obs::MetricsRegistry& reg = *options_.metrics;
+      h.exec_s = &reg.histogram("rt.exec_s." + task.codelet().name);
+      h.queue_wait_s = &reg.histogram("rt.queue_wait_s." + task.codelet().name);
+    }
+    h.exec_s->observe(exec_s);
+    h.queue_wait_s->observe((task.start_time - task.ready_at).sec());
   }
 
-  for (TaskId succ_id : task.successors) {
-    Task& succ = *tasks_[succ_id];
+  fold_edges();
+  for (const std::uint32_t succ_id : task.successors()) {
+    Task& succ = tasks_[succ_id];
     assert(succ.unresolved_deps > 0);
     if (--succ.unresolved_deps == 0) {
       make_ready(succ);
@@ -457,9 +534,10 @@ void Runtime::wait_all() {
     oss << "Runtime::wait_all: deadlock — " << (tasks_.size() - tasks_completed_)
         << " tasks stuck:";
     int shown = 0;
-    for (const auto& t : tasks_) {
-      if (t->state != TaskState::kDone && shown < 8) {
-        oss << ' ' << t->label << "(deps=" << t->unresolved_deps << ')';
+    for (std::size_t i = 0; i < tasks_.size() && shown < 8; ++i) {
+      const Task& t = tasks_[i];
+      if (t.state != TaskState::kDone) {
+        oss << ' ' << t.label() << "(deps=" << t.unresolved_deps << ')';
         ++shown;
       }
     }
@@ -501,8 +579,8 @@ sim::SimTime Runtime::estimate_exec(const Task& task, const Worker& worker) {
 
 sim::SimTime Runtime::estimate_transfer(const Task& task, const Worker& worker) {
   sim::SimTime total = sim::SimTime::zero();
-  for (const TaskAccess& access : task.accesses()) {
-    const DataHandle& h = *access.handle;
+  for (const GraphAccess& access : task.accesses()) {
+    const DataHandle& h = *handles_[access.handle];
     if (access.mode == AccessMode::kWrite || h.valid_on(worker.node())) {
       continue;
     }
@@ -541,13 +619,14 @@ double Runtime::estimate_energy(const Task& task, const Worker& worker) {
 double Runtime::locality_fraction(const Task& task, const Worker& worker) {
   std::uint64_t total = 0;
   std::uint64_t resident = 0;
-  for (const TaskAccess& access : task.accesses()) {
+  for (const GraphAccess& access : task.accesses()) {
     if (access.mode == AccessMode::kWrite) {
       continue;
     }
-    total += access.handle->bytes();
-    if (access.handle->valid_on(worker.node())) {
-      resident += access.handle->bytes();
+    const DataHandle& h = *handles_[access.handle];
+    total += h.bytes();
+    if (h.valid_on(worker.node())) {
+      resident += h.bytes();
     }
   }
   return total == 0 ? 1.0 : static_cast<double>(resident) / static_cast<double>(total);
@@ -714,26 +793,29 @@ void Runtime::export_capture(prof::RunCapture& capture) const {
 
   capture.tasks.clear();
   capture.tasks.reserve(tasks_.size());
-  for (const auto& task : tasks_) {
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    const Task& task = tasks_[i];
     prof::TaskRecord rec;
-    rec.id = task->id();
-    rec.label = task->label;
-    rec.codelet = task->codelet().name;
-    rec.worker = task->assigned_worker;
-    rec.ready_s = task->ready_at.sec();
-    rec.dispatched_s = task->dispatched_at.sec();
-    rec.start_s = task->start_time.sec();
-    rec.end_s = task->end_time.sec();
-    rec.flops = task->work().flops;
-    rec.attributed_power_w = task->attributed_power_w;
+    rec.id = task.id();
+    rec.label = std::string{task.label()};
+    rec.codelet = task.codelet().name;
+    rec.worker = task.assigned_worker;
+    rec.ready_s = task.ready_at.sec();
+    rec.dispatched_s = task.dispatched_at.sec();
+    rec.start_s = task.start_time.sec();
+    rec.end_s = task.end_time.sec();
+    rec.flops = task.work().flops;
+    rec.attributed_power_w = task.attributed_power_w;
     capture.tasks.push_back(std::move(rec));
   }
   // The runtime stores forward edges; the profiler wants predecessors.
-  for (const auto& task : tasks_) {
-    for (const TaskId succ : task->successors) {
-      auto& preds = capture.tasks[static_cast<std::size_t>(succ)].predecessors;
-      if (std::find(preds.begin(), preds.end(), task->id()) == preds.end()) {
-        preds.push_back(task->id());
+  fold_edges();
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    const Task& task = tasks_[i];
+    for (const std::uint32_t succ : task.successors()) {
+      auto& preds = capture.tasks[succ].predecessors;
+      if (std::find(preds.begin(), preds.end(), task.id()) == preds.end()) {
+        preds.push_back(task.id());
       }
     }
   }
@@ -754,7 +836,7 @@ struct StructureHash {
     }
   }
   void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     u64(s.size());
     bytes(s.data(), s.size());
   }
@@ -771,18 +853,20 @@ std::uint64_t Runtime::structure_digest() const {
     f.u64(h->bytes());
     f.str(h->name());
   }
-  for (const auto& t : tasks_) {
-    f.str(t->codelet().name);
-    f.str(t->label);
-    f.u64(static_cast<std::uint64_t>(t->priority));
-    f.u64(t->accesses().size());
-    for (const TaskAccess& a : t->accesses()) {
-      f.u64(static_cast<std::uint64_t>(a.handle->id()));
+  fold_edges();
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    const Task& t = tasks_[i];
+    f.str(t.codelet().name);
+    f.str(t.label());
+    f.u64(static_cast<std::uint64_t>(t.priority()));
+    f.u64(t.accesses().size());
+    for (const GraphAccess& a : t.accesses()) {
+      f.u64(a.handle);
       f.u64(static_cast<std::uint64_t>(a.mode));
     }
-    f.u64(t->successors.size());
-    for (const TaskId succ : t->successors) {
-      f.u64(static_cast<std::uint64_t>(succ));
+    f.u64(t.successors().size());
+    for (const std::uint32_t succ : t.successors()) {
+      f.u64(succ);
     }
   }
   return f.h;
@@ -791,18 +875,19 @@ std::uint64_t Runtime::structure_digest() const {
 RuntimeSnapshot Runtime::snapshot() const {
   RuntimeSnapshot s;
   s.tasks.reserve(tasks_.size());
-  for (const auto& t : tasks_) {
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    const Task& t = tasks_[i];
     TaskSnapshot ts;
-    ts.state = static_cast<std::uint8_t>(t->state);
-    ts.unresolved_deps = t->unresolved_deps;
-    ts.assigned_worker = t->assigned_worker;
-    ts.ready_at_s = t->ready_at.sec();
-    ts.dispatched_at_s = t->dispatched_at.sec();
-    ts.data_ready_at_s = t->data_ready_at.sec();
-    ts.start_s = t->start_time.sec();
-    ts.end_s = t->end_time.sec();
-    ts.attributed_power_w = t->attributed_power_w;
-    ts.decision_index = t->decision_index;
+    ts.state = static_cast<std::uint8_t>(t.state);
+    ts.unresolved_deps = t.unresolved_deps;
+    ts.assigned_worker = t.assigned_worker;
+    ts.ready_at_s = t.ready_at.sec();
+    ts.dispatched_at_s = t.dispatched_at.sec();
+    ts.data_ready_at_s = t.data_ready_at.sec();
+    ts.start_s = t.start_time.sec();
+    ts.end_s = t.end_time.sec();
+    ts.attributed_power_w = t.attributed_power_w;
+    ts.decision_index = t.decision_index;
     s.tasks.push_back(ts);
   }
   s.workers.reserve(workers_.size());
@@ -849,7 +934,7 @@ RuntimeStats Runtime::stats() const {
   RuntimeStats s;
   s.tasks_submitted = tasks_.size();
   s.tasks_completed = tasks_completed_;
-  s.dependency_edges = deps_.edge_count();
+  s.dependency_edges = graph_ != nullptr ? graph_->data_edge_count() : 0;
   s.makespan = last_completion_;
   for (const Worker& w : workers_) {
     RuntimeStats::WorkerStats ws;

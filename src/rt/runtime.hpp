@@ -29,6 +29,7 @@
 #include "rt/perf_model.hpp"
 #include "rt/scheduler.hpp"
 #include "rt/task.hpp"
+#include "rt/task_graph.hpp"
 #include "rt/types.hpp"
 #include "rt/worker.hpp"
 #include "sim/log.hpp"
@@ -99,7 +100,7 @@ struct TaskDesc {
   hw::KernelWork work;
   std::int64_t priority = 0;
   std::string label;
-  /// Kernel argument pack forwarded to Task::arg.
+  /// Kernel argument pack, stored in the graph (Task::arg()).
   std::any arg;
   /// Explicit predecessor tasks (StarPU's tag dependencies), on top of the
   /// data dependencies inferred from access modes. Each id must reference
@@ -192,7 +193,23 @@ class Runtime final : public SchedulerContext {
 
   // -- tasks -----------------------------------------------------------------
 
+  /// Adds one task to the runtime's own graph, wiring its dependencies,
+  /// and readies it when nothing gates it. Throws std::logic_error once the
+  /// graph was shared (graph()) or the runtime instantiated one.
   TaskId submit(TaskDesc desc);
+
+  /// Runs `graph` on this runtime, which must have no tasks yet and must
+  /// have registered the handles the graph names, in the same order as
+  /// the runtime that built it. Creates the task states in one allocation,
+  /// interns each codelet once, and replays the readiness the submissions
+  /// produced: tasks without predecessors go to the scheduler in id order.
+  /// That is exactly what submitting the graph's tasks would have done,
+  /// since no simulator event runs during submission.
+  void instantiate(std::shared_ptr<const TaskGraph> graph);
+
+  /// The runtime's task graph, sealed for sharing: after this call,
+  /// submit() throws. Null before any task exists.
+  [[nodiscard]] std::shared_ptr<const TaskGraph> graph();
 
   /// Runs the simulation until every submitted task has completed.
   /// Throws std::runtime_error on deadlock (tasks stuck with unresolved
@@ -223,7 +240,8 @@ class Runtime final : public SchedulerContext {
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
   [[nodiscard]] const Worker& worker(std::size_t i) const { return workers_.at(i); }
   [[nodiscard]] std::size_t task_count() const { return tasks_.size(); }
-  [[nodiscard]] const Task& task(TaskId id) const { return *tasks_.at(id); }
+  /// Throws std::out_of_range for an id that names no task.
+  [[nodiscard]] const Task& task(TaskId id) const;
 
   /// Ground-truth execution time (device model + launch overhead, no
   /// noise) — the oracle the calibrator samples and the estimator's
@@ -290,6 +308,9 @@ class Runtime final : public SchedulerContext {
 
  private:
   void build_workers();
+  /// Folds edges submitted since the last fold into the successor lists
+  /// (a no-op for instantiated or sealed graphs).
+  void fold_edges() const;
   void make_ready(Task& task);
   void wake_worker(WorkerId id);
   void wake_all_idle();
@@ -311,8 +332,14 @@ class Runtime final : public SchedulerContext {
   sim::Trace trace_;
 
   std::vector<Worker> workers_;
-  std::vector<std::unique_ptr<DataHandle>> handles_;
-  std::vector<std::unique_ptr<Task>> tasks_;
+  HandleTable handles_;
+  /// The graph the tasks run: built by submit() or instantiated.
+  std::shared_ptr<const TaskGraph> graph_;
+  /// graph_ while submit() may still extend it, else null.
+  TaskGraph* building_ = nullptr;
+  TaskStates tasks_;
+  /// Perf-model id of each of graph_'s codelets, by codelet index.
+  std::vector<CodeletId> perf_codelets_;
   DependencyTracker deps_;
   /// Per-GPU link availability (index = GPU index).
   std::vector<sim::SimTime> link_free_;
@@ -328,6 +355,13 @@ class Runtime final : public SchedulerContext {
   obs::Counter* m_tasks_completed_ = nullptr;
   obs::Counter* m_transfers_ = nullptr;
   obs::Counter* m_bytes_transferred_ = nullptr;
+  /// Per perf-model codelet id: its execution-time and queue-wait
+  /// histograms, resolved at the codelet's first retirement.
+  struct CodeletHistograms {
+    obs::Histogram* exec_s = nullptr;
+    obs::Histogram* queue_wait_s = nullptr;
+  };
+  std::vector<CodeletHistograms> m_codelet_histograms_;
   /// Sampler to close out when the last task retires; set by
   /// register_telemetry, never owned.
   obs::TelemetrySampler* telemetry_ = nullptr;

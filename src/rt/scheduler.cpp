@@ -73,7 +73,8 @@ WorkerId RandomScheduler::push_ready(Task& task) {
     total_weight += weights[i];
   }
   if (total_weight <= 0.0) {
-    throw std::runtime_error("random scheduler: no eligible worker for task " + task.label);
+    throw std::runtime_error("random scheduler: no eligible worker for task " +
+                             std::string{task.label()});
   }
   double pick = ctx().rng().uniform() * total_weight;
   std::size_t chosen = 0;
@@ -114,7 +115,8 @@ WorkerId WorkStealingScheduler::push_ready(Task& task) {
       return w.id();
     }
   }
-  throw std::runtime_error("ws scheduler: no eligible worker for task " + task.label);
+  throw std::runtime_error("ws scheduler: no eligible worker for task " +
+                           std::string{task.label()});
 }
 
 Task* WorkStealingScheduler::pop(Worker& worker) {
@@ -187,7 +189,7 @@ Task* WorkStealingScheduler::pop(Worker& worker) {
 WorkerId PrioScheduler::push_ready(Task& task) {
   auto it = queue_.begin();
   for (; it != queue_.end(); ++it) {
-    if ((*it)->priority < task.priority) break;
+    if ((*it)->priority() < task.priority()) break;
   }
   queue_.insert(it, &task);
   return -1;
@@ -236,7 +238,8 @@ WorkerId DmScheduler::push_ready(Task& task) {
     best_finish = std::min(best_finish, finish);
   }
   if (candidates_.empty()) {
-    throw std::runtime_error("dm scheduler: no eligible worker for task " + task.label);
+    throw std::runtime_error("dm scheduler: no eligible worker for task " +
+                             std::string{task.label()});
   }
 
   Worker* best = nullptr;
@@ -274,8 +277,8 @@ WorkerId DmScheduler::push_ready(Task& task) {
     const double locality = ctx().locality_fraction(task, *best);
     auto it = best->queue.begin();
     for (; it != best->queue.end(); ++it) {
-      if ((*it)->priority < task.priority) break;
-      if ((*it)->priority == task.priority &&
+      if ((*it)->priority() < task.priority()) break;
+      if ((*it)->priority() == task.priority() &&
           ctx().locality_fraction(**it, *best) < locality) {
         break;
       }

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -128,6 +129,52 @@ TEST(CalibrationCache, SameKeyAcrossThreadsSharesOneSnapshot) {
   const auto t = seen[0]->model.expected("dgemm", 3, hw::KernelWork{});
   ASSERT_TRUE(t.has_value());
   EXPECT_DOUBLE_EQ(t->sec(), 0.125);
+}
+
+TEST(CalibrationCache, GraphComputesOncePerKeyAcrossThreads) {
+  CalibrationCache cache;
+  std::atomic<int> computes{0};
+  const auto compute = [&computes] {
+    ++computes;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return std::make_shared<const rt::TaskGraph>();
+  };
+  constexpr int kThreads = 8;
+  std::vector<const rt::TaskGraph*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      seen[static_cast<std::size_t>(t)] = cache.graph("graph|POTRF|17280|2880|double", compute).get();
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(computes.load(), 1);
+  ASSERT_NE(seen[0], nullptr);
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(t)], seen[0]) << "thread " << t;
+  }
+  EXPECT_EQ(cache.graph_misses(), 1u);
+  EXPECT_EQ(cache.graph_hits(), static_cast<std::uint64_t>(kThreads - 1));
+}
+
+TEST(CalibrationCache, GraphLookupsLeaveWarmupCountersAlone) {
+  CalibrationCache cache;
+  const auto graph = [] { return std::make_shared<const rt::TaskGraph>(); };
+  (void)cache.graph("g1", graph);
+  (void)cache.graph("g1", graph);
+  (void)cache.graph("g2", graph);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
+  (void)cache.best_cap_w("cap", [] { return 1.0; });
+  (void)cache.best_cap_w("cap", [] { return 1.0; });
+  (void)cache.graph("g2", graph);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.graph_misses(), 2u);
+  EXPECT_EQ(cache.graph_hits(), 2u);
 }
 
 ExperimentConfig small_gemm(const std::string& ladder) {

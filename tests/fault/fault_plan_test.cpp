@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <sstream>
 
@@ -69,6 +70,39 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("dropout@gpu0:t=-1"), std::invalid_argument);   // negative time
   EXPECT_THROW(FaultPlan::parse("straggler@gpu0:factor=0.5"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("capfail@gpu0:code=bogus"), std::invalid_argument);
+}
+
+TEST(FaultPlan, RejectsIntegersOutsideIntRange) {
+  // Casting these doubles to int would be undefined behaviour.
+  EXPECT_THROW(FaultPlan::parse("capfail@gpu0:count=1e20"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("capfail@gpu0:count=-3e9"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("capfail@gpu0:count=inf"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("capfail@gpu0:count=nan"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("capfail@gpu0:perm=1e300"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("capfail@gpu1e300"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("capfail@gpu0:count=2.5"), std::invalid_argument);
+  std::istringstream huge_gpu{R"({"events":[{"kind":"capfail","gpu":1e300,"count":1}]})"};
+  EXPECT_THROW(FaultPlan::parse_json(huge_gpu), std::invalid_argument);
+  std::istringstream huge_count{R"({"events":[{"kind":"capfail","gpu":0,"count":1e20}]})"};
+  EXPECT_THROW(FaultPlan::parse_json(huge_count), std::invalid_argument);
+  std::istringstream fractional{R"({"events":[{"kind":"capfail","gpu":0.5}]})"};
+  EXPECT_THROW(FaultPlan::parse_json(fractional), std::invalid_argument);
+  // The bounds of int itself still parse.
+  EXPECT_EQ(FaultPlan::parse("capfail@gpu0:count=2147483647").events()[0].count, 2147483647);
+  EXPECT_EQ(FaultPlan::parse("capfail@gpu2147483647").events()[0].gpu, 2147483647);
+}
+
+TEST(FaultPlan, RejectsNonFiniteValues) {
+  EXPECT_THROW(FaultPlan::parse("dropout@gpu0:t=nan"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("dropout@gpu0:t=inf"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("straggler@gpu0:t=1,until=nan,factor=2"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("capfail@gpu0:p=nan"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("straggler@gpu0:factor=inf"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("drift@gpu0:watts=inf"), std::invalid_argument);
+  // An infinite end is an open window, as documented.
+  EXPECT_TRUE(std::isinf(FaultPlan::parse("straggler@gpu0:t=1,until=inf,factor=2")
+                             .events()[0]
+                             .until));
 }
 
 TEST(FaultPlan, JsonDocumentFormMatchesSpecForm) {

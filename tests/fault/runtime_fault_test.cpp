@@ -23,7 +23,7 @@ Codelet chain_codelet(WhereMask where = kWhereAny) {
   c.klass = hw::KernelClass::kGeneric;
   c.where = where;
   c.cpu_func = [](Task& task) {
-    auto* cell = static_cast<std::int64_t*>(task.accesses()[0].handle->host_ptr());
+    auto* cell = static_cast<std::int64_t*>(task.handle(0)->host_ptr());
     *cell = *cell * 3 + 1;
   };
   return c;

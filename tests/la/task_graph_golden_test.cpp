@@ -11,7 +11,9 @@
 //   model     - the history and regression entries the calibration left in
 //               the perf model.
 // A refactor of the task builders or codelets that is meant to keep the
-// graphs the same must reproduce all three.
+// graphs the same must reproduce all three. Each case also instantiates its
+// graph into a second, fresh runtime (calibrated and with its handles
+// registered the same way), which must reproduce all three too.
 #include <gtest/gtest.h>
 
 #include <any>
@@ -20,6 +22,8 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "hw/presets.hpp"
 #include "la/calibration_sets.hpp"
@@ -77,23 +81,52 @@ void hash_arg(Fnv& f, const std::any& arg) {
   }
 }
 
+/// Every codelet family; outlives the runtimes that run its graphs.
 template <typename T>
-Digests graph_digests(Op op) {
-  hw::Platform platform{hw::presets::platform_32_amd_4_a100()};
-  sim::Simulator sim;
-  rt::Runtime runtime{platform, sim};
-
-  Codelets<T> codelets;
+struct Kernels {
+  Codelets<T> tile;
   LuCodelets<T> lu;
   QrCodelets<T> qr;
   LqCodelets<T> lq;
+};
+
+/// Calibrates `runtime` the way run_experiment does and registers the
+/// operation's handles; with `submit`, also submits its task graph.
+template <typename T>
+void build(rt::Runtime& runtime, const Kernels<T>& k, Op op, bool submit) {
   rt::Calibrator calibrator{runtime};
   const std::vector<int> sizes{kNb, 2 * kNb};
-  calibrate_codelets<T>(calibrator, codelets, sizes);
-  if (op == Op::kGetrf) calibrate_lu_codelets<T>(calibrator, lu, sizes);
-  if (op == Op::kGeqrf) calibrate_qr_codelets<T>(calibrator, qr, sizes);
-  if (op == Op::kGelqf) calibrate_lq_codelets<T>(calibrator, lq, sizes);
+  calibrate_codelets<T>(calibrator, k.tile, sizes);
+  if (op == Op::kGetrf) calibrate_lu_codelets<T>(calibrator, k.lu, sizes);
+  if (op == Op::kGeqrf) calibrate_qr_codelets<T>(calibrator, k.qr, sizes);
+  if (op == Op::kGelqf) calibrate_lq_codelets<T>(calibrator, k.lq, sizes);
 
+  const std::int64_t n = static_cast<std::int64_t>(kTiles) * kNb;
+  TileMatrix<T> a{n, kNb, /*allocate=*/false, "A"};
+  a.register_with(runtime);
+  std::optional<TileMatrix<T>> b;
+  std::optional<TileMatrix<T>> c;
+  std::optional<QrWorkspace<T>> ws;
+  if (op == Op::kGemm) {
+    b.emplace(n, kNb, false, "B");
+    c.emplace(n, kNb, false, "C");
+    b->register_with(runtime);
+    c->register_with(runtime);
+  } else if (op == Op::kGeqrf || op == Op::kGelqf) {
+    ws.emplace(runtime, a);
+  }
+  if (!submit) return;
+  switch (op) {
+    case Op::kGemm: submit_gemm<T>(runtime, k.tile, a, *b, *c); break;
+    case Op::kPotrf: submit_potrf<T>(runtime, k.tile, a); break;
+    case Op::kGetrf: submit_getrf<T>(runtime, k.lu, a); break;
+    case Op::kGeqrf: submit_geqrf<T>(runtime, k.qr, a, *ws); break;
+    case Op::kGelqf: submit_gelqf<T>(runtime, k.lq, a, *ws); break;
+  }
+}
+
+template <typename T>
+Digests digests_of(rt::Runtime& runtime) {
   Fnv model;
   for (const auto& e : runtime.perf_model().export_history()) {
     model.str(e.codelet);
@@ -113,32 +146,6 @@ Digests graph_digests(Op op) {
     model.u64(e.samples);
   }
 
-  const std::int64_t n = static_cast<std::int64_t>(kTiles) * kNb;
-  TileMatrix<T> a{n, kNb, /*allocate=*/false, "A"};
-  a.register_with(runtime);
-  std::optional<TileMatrix<T>> b;
-  std::optional<TileMatrix<T>> c;
-  std::optional<QrWorkspace<T>> ws;
-  switch (op) {
-    case Op::kGemm:
-      b.emplace(n, kNb, false, "B");
-      c.emplace(n, kNb, false, "C");
-      b->register_with(runtime);
-      c->register_with(runtime);
-      submit_gemm<T>(runtime, codelets, a, *b, *c);
-      break;
-    case Op::kPotrf: submit_potrf<T>(runtime, codelets, a); break;
-    case Op::kGetrf: submit_getrf<T>(runtime, lu, a); break;
-    case Op::kGeqrf:
-      ws.emplace(runtime, a);
-      submit_geqrf<T>(runtime, qr, a, *ws);
-      break;
-    case Op::kGelqf:
-      ws.emplace(runtime, a);
-      submit_gelqf<T>(runtime, lq, a, *ws);
-      break;
-  }
-
   Fnv work;
   work.u64(runtime.task_count());
   for (std::size_t id = 0; id < runtime.task_count(); ++id) {
@@ -147,9 +154,27 @@ Digests graph_digests(Op op) {
     work.u64(static_cast<std::uint64_t>(task.work().precision));
     work.f64(task.work().flops);
     work.f64(task.work().work_dim);
-    hash_arg<T>(work, task.arg);
+    hash_arg<T>(work, task.arg());
   }
   return Digests{runtime.structure_digest(), work.h, model.h};
+}
+
+/// The digests of the submitted graph, and of the same graph instantiated
+/// into a second, fresh runtime.
+template <typename T>
+std::pair<Digests, Digests> graph_digests(Op op) {
+  const Kernels<T> k;
+  hw::Platform platform{hw::presets::platform_32_amd_4_a100()};
+  sim::Simulator sim;
+  rt::Runtime submitted{platform, sim};
+  build<T>(submitted, k, op, /*submit=*/true);
+
+  hw::Platform platform2{hw::presets::platform_32_amd_4_a100()};
+  sim::Simulator sim2;
+  rt::Runtime instantiated{platform2, sim2};
+  build<T>(instantiated, k, op, /*submit=*/false);
+  instantiated.instantiate(submitted.graph());
+  return {digests_of<T>(submitted), digests_of<T>(instantiated)};
 }
 
 struct GoldenCase {
@@ -165,10 +190,16 @@ class TaskGraphGolden : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(TaskGraphGolden, DigestsAreStable) {
   const GoldenCase& gc = GetParam();
-  const Digests got = gc.single ? graph_digests<float>(gc.op) : graph_digests<double>(gc.op);
-  EXPECT_EQ(got.structure, gc.want.structure) << std::hex << "structure 0x" << got.structure;
-  EXPECT_EQ(got.work, gc.want.work) << std::hex << "work 0x" << got.work;
-  EXPECT_EQ(got.model, gc.want.model) << std::hex << "model 0x" << got.model;
+  const auto [submitted, instantiated] =
+      gc.single ? graph_digests<float>(gc.op) : graph_digests<double>(gc.op);
+  const std::pair<const char*, Digests> runs[] = {{"submitted", submitted},
+                                                   {"instantiated", instantiated}};
+  for (const auto& [which, got] : runs) {
+    EXPECT_EQ(got.structure, gc.want.structure) << which << std::hex << " structure 0x"
+                                                << got.structure;
+    EXPECT_EQ(got.work, gc.want.work) << which << std::hex << " work 0x" << got.work;
+    EXPECT_EQ(got.model, gc.want.model) << which << std::hex << " model 0x" << got.model;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

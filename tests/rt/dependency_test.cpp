@@ -1,5 +1,6 @@
 // DependencyTracker unit tests, exercised through a minimal harness that
-// mimics what Runtime::submit does (without any execution).
+// mimics what Runtime::submit does (without any execution): tasks go into
+// a TaskGraph, their states into a TaskStates array.
 #include "rt/dependencies.hpp"
 
 #include <gtest/gtest.h>
@@ -25,29 +26,31 @@ class DepHarness {
     return handles_.back().get();
   }
 
-  Task& submit(std::vector<TaskAccess> accesses) {
-    const TaskId id = static_cast<TaskId>(tasks_.size());
-    tasks_.push_back(std::make_unique<Task>(id, &codelet_, hw::KernelWork{}));
-    Task& t = *tasks_.back();
-    t.accesses() = std::move(accesses);
-    t.unresolved_deps = tracker_.register_task(t, [this](TaskId tid) { return tasks_[tid].get(); });
+  Task& submit(const std::vector<TaskAccess>& accesses) {
+    const TaskId id = graph_.add_task(codelet_, hw::KernelWork{}, 0, {}, {}, accesses);
+    Task& t = tasks_.emplace_back(graph_, handles_);
+    t.unresolved_deps = tracker_.register_task(graph_, id, handles_, [this](TaskId pred) {
+      return tasks_[static_cast<std::size_t>(pred)].state == TaskState::kDone;
+    });
+    graph_.fold_edges();
     return t;
   }
 
   void complete(Task& t) {
     t.state = TaskState::kDone;
-    for (TaskId succ : t.successors) {
-      --tasks_[succ]->unresolved_deps;
+    for (const std::uint32_t succ : t.successors()) {
+      --tasks_[succ].unresolved_deps;
     }
   }
 
-  [[nodiscard]] std::uint64_t edges() const { return tracker_.edge_count(); }
+  [[nodiscard]] std::uint64_t edges() const { return graph_.data_edge_count(); }
 
  private:
   Codelet codelet_;
   DependencyTracker tracker_;
-  std::vector<std::unique_ptr<DataHandle>> handles_;
-  std::vector<std::unique_ptr<Task>> tasks_;
+  HandleTable handles_;
+  TaskGraph graph_;
+  TaskStates tasks_;
 };
 
 TEST(Dependencies, IndependentTasksHaveNoDeps) {
@@ -67,8 +70,8 @@ TEST(Dependencies, ReadAfterWrite) {
   Task& writer = h.submit({{a, AccessMode::kWrite}});
   Task& reader = h.submit({{a, AccessMode::kRead}});
   EXPECT_EQ(reader.unresolved_deps, 1);
-  ASSERT_EQ(writer.successors.size(), 1u);
-  EXPECT_EQ(writer.successors[0], reader.id());
+  ASSERT_EQ(writer.successors().size(), 1u);
+  EXPECT_EQ(writer.successors()[0], reader.id());
 }
 
 TEST(Dependencies, ConcurrentReadsCommute) {
@@ -81,8 +84,8 @@ TEST(Dependencies, ConcurrentReadsCommute) {
   EXPECT_EQ(r1.unresolved_deps, 1);
   EXPECT_EQ(r2.unresolved_deps, 1);
   EXPECT_EQ(r3.unresolved_deps, 1);
-  EXPECT_TRUE(r1.successors.empty());
-  EXPECT_TRUE(r2.successors.empty());
+  EXPECT_TRUE(r1.successors().empty());
+  EXPECT_TRUE(r2.successors().empty());
 }
 
 TEST(Dependencies, WriteAfterRead) {
@@ -94,8 +97,8 @@ TEST(Dependencies, WriteAfterRead) {
   Task& w2 = h.submit({{a, AccessMode::kWrite}});
   // w2 waits on both readers AND the previous writer.
   EXPECT_EQ(w2.unresolved_deps, 3);
-  EXPECT_EQ(r1.successors.size(), 1u);
-  EXPECT_EQ(r2.successors.size(), 1u);
+  EXPECT_EQ(r1.successors().size(), 1u);
+  EXPECT_EQ(r2.successors().size(), 1u);
 }
 
 TEST(Dependencies, WriteAfterWrite) {
@@ -104,7 +107,7 @@ TEST(Dependencies, WriteAfterWrite) {
   Task& w1 = h.submit({{a, AccessMode::kWrite}});
   Task& w2 = h.submit({{a, AccessMode::kWrite}});
   EXPECT_EQ(w2.unresolved_deps, 1);
-  EXPECT_EQ(w1.successors[0], w2.id());
+  EXPECT_EQ(w1.successors()[0], w2.id());
 }
 
 TEST(Dependencies, ReadWriteChainsSerialize) {
@@ -135,7 +138,7 @@ TEST(Dependencies, DuplicateEdgesCollapse) {
   Task& w = h.submit({{a, AccessMode::kWrite}, {b, AccessMode::kWrite}});
   Task& r = h.submit({{a, AccessMode::kRead}, {b, AccessMode::kRead}});
   EXPECT_EQ(r.unresolved_deps, 1);
-  EXPECT_EQ(w.successors.size(), 1u);
+  EXPECT_EQ(w.successors().size(), 1u);
 }
 
 TEST(Dependencies, DiamondPattern) {
@@ -147,7 +150,7 @@ TEST(Dependencies, DiamondPattern) {
   Task& l = h.submit({{a, AccessMode::kRead}, {left, AccessMode::kWrite}});
   Task& r = h.submit({{a, AccessMode::kRead}, {right, AccessMode::kWrite}});
   Task& bottom = h.submit({{left, AccessMode::kRead}, {right, AccessMode::kRead}});
-  EXPECT_EQ(top.successors.size(), 2u);
+  EXPECT_EQ(top.successors().size(), 2u);
   EXPECT_EQ(l.unresolved_deps, 1);
   EXPECT_EQ(r.unresolved_deps, 1);
   EXPECT_EQ(bottom.unresolved_deps, 2);

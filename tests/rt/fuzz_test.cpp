@@ -40,15 +40,15 @@ TEST_P(DagFuzz, ParallelExecutionMatchesSequentialReplay) {
   // be undefined behaviour.
   folder.cpu_func = [](Task& task) {
     std::uint64_t acc = 0;
-    for (const TaskAccess& a : task.accesses()) {
-      if (a.mode != AccessMode::kWrite) {
+    for (std::size_t i = 0; i < task.accesses().size(); ++i) {
+      if (task.accesses()[i].mode != AccessMode::kWrite) {
         acc = acc * 131 + static_cast<std::uint64_t>(
-                              *static_cast<std::int64_t*>(a.handle->host_ptr()));
+                              *static_cast<std::int64_t*>(task.handle(i)->host_ptr()));
       }
     }
-    for (const TaskAccess& a : task.accesses()) {
-      if (is_write(a.mode)) {
-        *static_cast<std::int64_t*>(a.handle->host_ptr()) =
+    for (std::size_t i = 0; i < task.accesses().size(); ++i) {
+      if (is_write(task.accesses()[i].mode)) {
+        *static_cast<std::int64_t*>(task.handle(i)->host_ptr()) =
             static_cast<std::int64_t>(acc * 31 + static_cast<std::uint64_t>(task.id()));
       }
     }

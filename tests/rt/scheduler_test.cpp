@@ -73,16 +73,17 @@ class SchedulerTest : public ::testing::Test {
   }
 
   Task& make_task(const Codelet& cl, std::int64_t priority = 0) {
-    tasks_.push_back(std::make_unique<Task>(static_cast<TaskId>(tasks_.size()), &cl,
-                                            hw::KernelWork{}));
-    tasks_.back()->priority = priority;
-    tasks_.back()->state = TaskState::kReady;
-    return *tasks_.back();
+    graph_.add_task(cl, hw::KernelWork{}, priority, {}, {}, {});
+    Task& task = tasks_.emplace_back(graph_, handles_);
+    task.state = TaskState::kReady;
+    return task;
   }
 
   FakeContext ctx_;
   Codelet any_, cuda_only_, cpu_only_;
-  std::vector<std::unique_ptr<Task>> tasks_;
+  TaskGraph graph_;
+  HandleTable handles_;
+  TaskStates tasks_;
 };
 
 // -- factory ------------------------------------------------------------------
