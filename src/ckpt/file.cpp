@@ -84,15 +84,17 @@ void write_checkpoint_file(const std::string& path, Manifest manifest,
   manifest.payload_crc32 = crc32(payload.data(), payload.size());
   const std::string manifest_json = manifest_to_json(manifest);
 
-  Writer w;
-  w.bytes(kMagic, 4);
-  w.u32(kFormatVersion);
-  w.u64(manifest_json.size());
-  w.bytes(manifest_json.data(), manifest_json.size());
-  w.u64(payload.size());
-  w.bytes(payload.data(), payload.size());
-  const std::string& body = w.data();
-  const std::uint32_t file_crc = crc32(body.data(), body.size());
+  // The file is head ‖ payload ‖ CRC(head ‖ payload); the payload's CRC
+  // is already known, so only the short head is read again.
+  Writer head;
+  head.bytes(kMagic, 4);
+  head.u32(kFormatVersion);
+  head.u64(manifest_json.size());
+  head.bytes(manifest_json.data(), manifest_json.size());
+  head.u64(payload.size());
+  const std::uint32_t file_crc =
+      crc32_combine(crc32(head.data().data(), head.data().size()), manifest.payload_crc32,
+                    payload.size());
 
   // Scratch name unique per (process, thread): campaigns running in
   // parallel processes may checkpoint adjacent paths in one directory, and
@@ -115,7 +117,8 @@ void write_checkpoint_file(const std::string& path, Manifest manifest,
       size -= static_cast<std::size_t>(n);
     }
   };
-  write_all(body.data(), body.size());
+  write_all(head.data().data(), head.data().size());
+  write_all(payload.data(), payload.size());
   char crc_bytes[4];
   for (int i = 0; i < 4; ++i) crc_bytes[i] = static_cast<char>((file_crc >> (8 * i)) & 0xffU);
   write_all(crc_bytes, 4);

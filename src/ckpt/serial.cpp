@@ -31,15 +31,32 @@ constexpr CrcTables make_crc_tables() {
 
 constexpr CrcTables kCrcTables = make_crc_tables();
 
-/// Little-endian bytes of `v`, independent of the host's byte order.
-template <typename T>
-std::array<char, sizeof(T)> le_bytes(T v) {
-  std::array<char, sizeof(T)> b{};
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    b[i] = static_cast<char>((v >> (8 * i)) & 0xffU);
+constexpr std::uint32_t kCrcPoly = 0xedb88320U;
+
+/// a(x) * b(x) modulo the CRC polynomial, in the reflected bit order.
+constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t p = 0;
+  for (std::uint32_t m = 1U << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) {
+      p ^= b;
+    }
+    b = (b & 1U) != 0 ? (b >> 1) ^ kCrcPoly : b >> 1;
   }
-  return b;
+  return p;
 }
+
+/// kX2n[k] = x^(2^k) modulo the CRC polynomial.
+constexpr std::array<std::uint32_t, 32> make_x2n_table() {
+  std::array<std::uint32_t, 32> t{};
+  std::uint32_t p = 1U << 30;  // x^1
+  t[0] = p;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    t[k] = p = multmodp(p, p);
+  }
+  return t;
+}
+
+constexpr std::array<std::uint32_t, 32> kX2n = make_x2n_table();
 
 }  // namespace
 
@@ -61,19 +78,33 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   return c ^ 0xffffffffU;
 }
 
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b, std::uint64_t len_b) {
+  // Appending len_b bytes multiplies A's CRC by x^(8 * len_b); build that
+  // power from the x^(2^k) table, one factor per set bit of 8 * len_b.
+  std::uint32_t shift = 1U << 31;  // x^0
+  for (std::size_t k = 3; len_b != 0; len_b >>= 1, ++k) {
+    if ((len_b & 1U) != 0) {
+      shift = multmodp(kX2n[k % kX2n.size()], shift);
+    }
+  }
+  return multmodp(shift, crc_a) ^ crc_b;
+}
+
 void Writer::u32(std::uint32_t v) {
-  const auto b = le_bytes(v);
-  buf_.append(b.data(), b.size());
+  char b[sizeof v];
+  put_le(b, v);
+  buf_.append(b, sizeof b);
 }
 
 void Writer::u64(std::uint64_t v) {
-  const auto b = le_bytes(v);
-  buf_.append(b.data(), b.size());
+  char b[sizeof v];
+  put_le(b, v);
+  buf_.append(b, sizeof b);
 }
 
 void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
-void Writer::str(const std::string& v) {
+void Writer::str(std::string_view v) {
   u64(v.size());
   buf_.append(v);
 }

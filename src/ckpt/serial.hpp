@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace greencap::ckpt {
@@ -37,6 +38,22 @@ class CorruptError : public CheckpointError {
 /// Matches zlib's crc32(), which is what tools/check_checkpoint.py uses.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
 
+/// CRC-32 of the concatenation A‖B from crc32(A), crc32(B) and B's
+/// length, without reading either (zlib's crc32_combine).
+[[nodiscard]] std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                                          std::uint64_t len_b);
+
+/// Writes the little-endian bytes of `v` at `at`, independent of the
+/// host's byte order; returns the end. Encoders that pack a fixed-size
+/// record before one Writer::bytes() call lay it out as Writer would.
+template <typename T>
+char* put_le(char* at, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    at[i] = static_cast<char>((v >> (8 * i)) & 0xffU);
+  }
+  return at + sizeof(T);
+}
+
 /// Append-only little-endian encoder.
 class Writer {
  public:
@@ -47,7 +64,7 @@ class Writer {
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v);
-  void str(const std::string& v);
+  void str(std::string_view v);
   void bytes(const void* data, std::size_t size);
 
   /// Writes a 4-character section tag. Sections carry no length — they

@@ -1,5 +1,7 @@
 #include "core/checkpoint_io.hpp"
 
+#include <bit>
+
 namespace greencap::core::ckpt_io {
 
 namespace ck = greencap::ckpt;
@@ -29,6 +31,34 @@ void put_degradation(ck::Writer& w, const std::vector<fault::DegradationEvent>& 
     w.str(e.to);
     w.str(e.reason);
     w.f64(e.at_s);
+  }
+}
+
+void put_decisions(ck::Writer& w, const obs::DecisionLog* log) {
+  if (log == nullptr) {
+    w.u64(0);
+    return;
+  }
+  w.u64(log->size());
+  for (const obs::Decision& d : log->decisions()) {
+    w.i64(d.task);
+    w.str(log->codelet_name(d.codelet));
+    w.str(obs::arch_name(d.arch));
+    w.i32(d.chosen_worker);
+    w.f64(d.decided_at.sec());
+    w.f64(d.queue_wait_s);
+    w.f64(d.expected_exec_s);
+    w.f64(d.realized_exec_s);
+    w.u64(d.alternative_count);
+    for (const obs::DecisionAlternative& alt : log->alternatives(d)) {
+      // worker (i32) and three f64 bit patterns: one 28-byte append.
+      char rec[4 + 3 * 8];
+      char* at = ck::put_le(rec, static_cast<std::uint32_t>(alt.worker));
+      at = ck::put_le(at, std::bit_cast<std::uint64_t>(alt.expected_exec_s));
+      at = ck::put_le(at, std::bit_cast<std::uint64_t>(alt.expected_transfer_s));
+      ck::put_le(at, std::bit_cast<std::uint64_t>(alt.expected_energy_j));
+      w.bytes(rec, sizeof rec);
+    }
   }
 }
 
@@ -375,24 +405,7 @@ void encode_run_state(ck::Writer& w, const RunState& s) {
     w.f64(h.min);
     w.f64(h.max);
   }
-  w.u64(s.decisions.size());
-  for (const obs::Decision& d : s.decisions) {
-    w.i64(d.task);
-    w.str(d.codelet);
-    w.str(d.worker_arch);
-    w.i32(d.chosen_worker);
-    w.f64(d.decided_at.sec());
-    w.f64(d.queue_wait_s);
-    w.f64(d.expected_exec_s);
-    w.f64(d.realized_exec_s);
-    w.u64(d.alternatives.size());
-    for (const obs::DecisionAlternative& alt : d.alternatives) {
-      w.i32(alt.worker);
-      w.f64(alt.expected_exec_s);
-      w.f64(alt.expected_transfer_s);
-      w.f64(alt.expected_energy_j);
-    }
-  }
+  put_decisions(w, s.decisions);
   w.u64(s.telemetry.size());
   for (const obs::TelemetrySample& row : s.telemetry) {
     w.f64(row.t.sec());

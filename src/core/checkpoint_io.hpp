@@ -101,7 +101,11 @@ struct RunState {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<HistogramState> histograms;
-  std::vector<obs::Decision> decisions;
+  /// View of the run's live decision log (null when the log is off),
+  /// not a copy: it is valid while the capturing RunContext lives, and
+  /// encode_run_state must run before the simulation advances, since the
+  /// log keeps growing and realizing decisions.
+  const obs::DecisionLog* decisions = nullptr;
   std::vector<obs::TelemetrySample> telemetry;
   std::vector<fault::DegradationEvent> degradation;
   std::vector<EventRecord> events;

@@ -329,7 +329,7 @@ ckpt_io::RunState RunContext::capture_run_state() {
     }
   }
   if (obs_data_ != nullptr && config.obs.decision_log) {
-    s.decisions = obs_data_->decisions.decisions();
+    s.decisions = &obs_data_->decisions;
   }
   if (config.obs.telemetry_period_ms > 0.0) {
     s.telemetry = sampler_.series().samples();

@@ -93,7 +93,9 @@ class RunContext {
   void attach_checkpointer(CheckpointSession& session);
 
   /// Pure read of the complete mid-run state; never advances meters or
-  /// the clock, so a run with checkpointing on stays byte-identical.
+  /// the clock, so a run with checkpointing on stays byte-identical. The
+  /// state views the live decision log instead of copying it: encode it
+  /// before the simulation advances and while this context lives.
   [[nodiscard]] ckpt_io::RunState capture_run_state();
 
   /// Arms the checkpointer's tick and watchdog (no-op without one).

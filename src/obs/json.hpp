@@ -11,6 +11,7 @@
 #include <charconv>
 #include <cmath>
 #include <concepts>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -55,19 +56,26 @@ inline void json_append_string(std::string& out, std::string_view s) {
   return out;
 }
 
+/// Room json_write_number and json_write_int may need at their `at`:
+/// "%.17g" of a subnormal is 24 bytes.
+inline constexpr std::size_t kJsonNumberMaxChars = 32;
+
 namespace detail {
 
 /// printf("%.<precision>g") text of `v`; std::to_chars's general format is
 /// specified to produce exactly that. JSON has no inf/nan tokens, so
 /// non-finite values degrade to null (the convention Perfetto accepts).
-inline void append_general(std::string& out, double v, int precision) {
+inline char* write_general(char* at, double v, int precision) {
   if (!std::isfinite(v)) {
-    out += "null";
-    return;
+    std::memcpy(at, "null", 4);
+    return at + 4;
   }
-  char buf[32];
-  const auto result = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, precision);
-  out.append(buf, static_cast<std::size_t>(result.ptr - buf));
+  return std::to_chars(at, at + kJsonNumberMaxChars, v, std::chars_format::general, precision).ptr;
+}
+
+inline void append_general(std::string& out, double v, int precision) {
+  char buf[kJsonNumberMaxChars];
+  out.append(buf, static_cast<std::size_t>(write_general(buf, v, precision) - buf));
 }
 
 }  // namespace detail
@@ -76,6 +84,11 @@ inline void append_general(std::string& out, double v, int precision) {
 /// printf's "%.9g"); non-finite values become null.
 inline void json_append_number(std::string& out, double v) { detail::append_general(out, v, 9); }
 
+/// json_append_number's text written in place for exporters that fill a
+/// pre-sized buffer: `at` needs kJsonNumberMaxChars bytes of room. Returns
+/// the end of the text.
+inline char* json_write_number(char* at, double v) { return detail::write_general(at, v, 9); }
+
 /// Full round-trip precision ("%.17g") variant, for exports whose consumers
 /// re-verify exact accounting identities (profile.json's energy
 /// conservation check reads back the same doubles that were summed).
@@ -83,12 +96,17 @@ inline void json_append_number_exact(std::string& out, double v) {
   detail::append_general(out, v, 17);
 }
 
+/// An integer in decimal, written in place (room: kJsonNumberMaxChars).
+template <std::integral T>
+char* json_write_int(char* at, T v) {
+  return std::to_chars(at, at + kJsonNumberMaxChars, v).ptr;
+}
+
 /// Appends an integer in decimal.
 template <std::integral T>
 void json_append_int(std::string& out, T v) {
-  char buf[24];
-  const auto result = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, static_cast<std::size_t>(result.ptr - buf));
+  char buf[kJsonNumberMaxChars];
+  out.append(buf, static_cast<std::size_t>(json_write_int(buf, v) - buf));
 }
 
 }  // namespace greencap::obs

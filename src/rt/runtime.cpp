@@ -313,27 +313,43 @@ sim::SimTime Runtime::stage_data(Task& task, Worker& worker) {
 }
 
 void Runtime::record_decision(Task& task, Worker& worker) {
+  obs::DecisionLog& log = *options_.decision_log;
+  if (task.perf_codelet >= decision_codelets_.size()) {
+    decision_codelets_.resize(task.perf_codelet + 1, kNoDecisionCodelet);
+  }
+  std::uint32_t& codelet = decision_codelets_[task.perf_codelet];
+  if (codelet == kNoDecisionCodelet) {
+    codelet = log.intern_codelet(task.codelet().name);
+  }
   obs::Decision decision;
   decision.task = task.id();
-  decision.codelet = task.codelet().name;
-  decision.worker_arch = worker.arch() == WorkerArch::kCuda ? "cuda" : "cpu";
+  decision.codelet = codelet;
+  decision.arch =
+      worker.arch() == WorkerArch::kCuda ? obs::DecisionArch::kCuda : obs::DecisionArch::kCpu;
   decision.chosen_worker = worker.id();
   decision.decided_at = sim_.now();
   decision.queue_wait_s = (sim_.now() - task.ready_at).sec();
   decision.expected_exec_s = estimate_exec(task, worker).sec();
-  decision.alternatives.reserve(workers_.size());
+  task.decision_index = static_cast<std::int64_t>(log.add(decision));
+
+  // A CPU worker's transfer and energy estimates depend only on its
+  // memory node (the host) and its package's model, so the workers of one
+  // package share them; the exec estimate is per worker (history models).
+  const hw::CpuModel* package = nullptr;
+  obs::DecisionAlternative alt;
   for (Worker& candidate : workers_) {
     if (!worker_can_run(task, candidate)) {
       continue;
     }
-    obs::DecisionAlternative alt;
     alt.worker = candidate.id();
     alt.expected_exec_s = estimate_exec(task, candidate).sec();
-    alt.expected_transfer_s = estimate_transfer(task, candidate).sec();
-    alt.expected_energy_j = estimate_energy(task, candidate);
-    decision.alternatives.push_back(alt);
+    if (candidate.arch() == WorkerArch::kCuda || candidate.cpu() != package) {
+      alt.expected_transfer_s = estimate_transfer(task, candidate).sec();
+      alt.expected_energy_j = estimate_energy(task, candidate);
+      package = candidate.cpu();
+    }
+    log.add_alternative(alt);
   }
-  task.decision_index = static_cast<std::int64_t>(options_.decision_log->add(std::move(decision)));
 }
 
 sim::SimTime Runtime::actual_exec_time(Task& task, const Worker& worker) {

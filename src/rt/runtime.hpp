@@ -340,6 +340,9 @@ class Runtime final : public SchedulerContext {
   TaskStates tasks_;
   /// Perf-model id of each of graph_'s codelets, by codelet index.
   std::vector<CodeletId> perf_codelets_;
+  /// Decision-log codelet id by perf-model id, interned at first use.
+  static constexpr std::uint32_t kNoDecisionCodelet = ~std::uint32_t{0};
+  std::vector<std::uint32_t> decision_codelets_;
   DependencyTracker deps_;
   /// Per-GPU link availability (index = GPU index).
   std::vector<sim::SimTime> link_free_;

@@ -179,6 +179,23 @@ TEST(Serial, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
   }
 }
 
+TEST(Serial, Crc32CombineEqualsCrcOfConcatenation) {
+  std::mt19937_64 rng{11};
+  for (int trial = 0; trial < 64; ++trial) {
+    // Lengths up to 70 KB so every bit of len(B) below 2^17 is exercised.
+    const std::size_t len_a = rng() % 4096;
+    const std::size_t len_b = trial % 8 == 0 ? 0 : rng() % (70 * 1024);
+    const std::vector<unsigned char> buf = random_bytes(len_a + len_b, rng());
+    const std::uint32_t crc_a = ckpt::crc32(buf.data(), len_a);
+    const std::uint32_t crc_b = ckpt::crc32(buf.data() + len_a, len_b);
+    ASSERT_EQ(ckpt::crc32_combine(crc_a, crc_b, len_b), ckpt::crc32(buf.data(), buf.size()))
+        << "len(A) " << len_a << ", len(B) " << len_b;
+  }
+  // len(B) = 0 leaves A's CRC unchanged; A may be empty too.
+  EXPECT_EQ(ckpt::crc32_combine(0xCBF43926u, 0, 0), 0xCBF43926u);
+  EXPECT_EQ(ckpt::crc32_combine(0, ckpt::crc32("123456789", 9), 9), 0xCBF43926u);
+}
+
 TEST(Serial, Crc32ChunkedEqualsOneShotAtEverySplit) {
   std::mt19937_64 rng{7};
   const std::vector<unsigned char> buf = random_bytes(1024, 2);

@@ -107,7 +107,7 @@ TEST_F(ObservabilityRun, DecisionsRealizedAndModelsAccurate) {
   std::size_t realized = 0;
   for (const obs::Decision& d : log.decisions()) {
     EXPECT_GE(d.chosen_worker, 0);
-    EXPECT_FALSE(d.codelet.empty());
+    EXPECT_FALSE(log.codelet_name(d.codelet).empty());
     EXPECT_GE(d.queue_wait_s, 0.0);
     if (d.realized()) ++realized;
   }

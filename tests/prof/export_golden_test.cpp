@@ -2,10 +2,10 @@
 //
 // A 6-tile POTRF on 32-AMD-4-A100 with every capture on, a fixed fault
 // plan and a checkpoint session writes a trace, metrics, telemetry,
-// decision log, degradation report, profile JSON, HTML report and a
-// boundary checkpoint. Each file's 64-bit FNV-1a digest is pinned here, so
-// any writer change that is meant to be a pure speed-up must reproduce the
-// exported bytes exactly.
+// decision log, degradation report, profile JSON, HTML report, mid-run
+// checkpoints and a boundary checkpoint. Each file's 64-bit FNV-1a digest
+// is pinned here, so any writer change that is meant to be a pure
+// speed-up must reproduce the exported bytes exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 
+#include "ckpt/file.hpp"
 #include "core/checkpoint.hpp"
 #include "core/experiment.hpp"
 #include "obs/trace_export.hpp"
@@ -113,6 +114,34 @@ TEST(ExportGolden, InstrumentedRunArtifactsAreByteStable) {
   EXPECT_EQ(fnv1a64(profile_json), 0xca051ee19c040beaULL) << "profile.json";
   EXPECT_EQ(fnv1a64(html), 0xb2682f0ffb9b14b0ULL) << "report.html";
   EXPECT_EQ(fnv1a64(checkpoint), 0x380e08d90df78a79ULL) << "boundary .gckp";
+}
+
+// The last periodic checkpoint the same run writes before its boundary
+// commit: a run-kind file whose RunState carries the decision log, the
+// trace, the metrics and the telemetry captured so far.
+TEST(ExportGolden, MidRunCheckpointIsByteStable) {
+  const std::string path = ::testing::TempDir() + "export_golden_mid_" +
+                           std::to_string(reinterpret_cast<std::uintptr_t>(&path)) + ".gckp";
+  std::remove(path.c_str());
+  CheckpointOptions options;
+  options.path = path;
+  options.every_ms = 10.0;
+  CheckpointSession session{options};
+  const ExperimentResult result = run_experiment(instrumented_potrf(), &session);
+  ASSERT_NE(result.observability, nullptr);
+  ASSERT_FALSE(result.observability->decisions.empty());
+  ASSERT_GT(session.writes(), 0);
+
+  const ckpt::CheckpointFile file = ckpt::read_checkpoint_file(path);
+  std::ifstream in{path, std::ios::binary};
+  ASSERT_TRUE(in);
+  const std::string checkpoint{std::istreambuf_iterator<char>{in}, {}};
+  in.close();
+  std::remove(path.c_str());
+
+  EXPECT_EQ(file.manifest.kind, "run");
+  EXPECT_GT(file.manifest.t_virtual_s, 0.0);
+  EXPECT_EQ(fnv1a64(checkpoint), 0x4ffb4229994da8d1ULL) << "mid-run .gckp";
 }
 
 }  // namespace
