@@ -55,31 +55,12 @@ struct Cli {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--help" || arg == "-h") {
-        std::cout << "usage: " << argv[0]
-                  << " [--csv] [--quick] [--trace-json FILE] [--metrics-json FILE]"
-                     " [--telemetry-period-ms N]\n"
+        std::cout << "usage: " << argv[0] << " [options]\n"
                   << "  --csv                    also emit CSV after each table\n"
                   << "  --quick                  coarser sweeps (CI smoke mode)\n"
-                  << "  --jobs N                 run the campaign on N worker threads"
-                     " (default 1; 0 = all cores)\n"
-                  << "  --trace-json FILE        Perfetto export of the first experiment\n"
-                  << "  --metrics-json FILE      metrics snapshot of the first experiment\n"
-                  << "  --profile-json FILE      energy-attribution profile of the first run\n"
-                  << "  --profile-html FILE      self-contained HTML report of the first run\n"
                   << "  --summary-json FILE      machine-readable summary of every table\n"
-                  << "  --telemetry-period-ms N  telemetry sampling period for the capture\n"
-                  << "  --faults SPEC            fault plan (kind@gpuN:k=v,... or @FILE)\n"
-                  << "  --fault-seed N           injector RNG seed\n"
-                  << "  --reconcile-ms N         cap reconciliation period (virtual ms)\n"
-                  << "  --degrade                degrade to H on cap failure\n"
-                  << "  --cap-retries N          cap-write retry budget (default 3)\n"
-                  << "  --checkpoint FILE        write crash-consistent checkpoints to FILE\n"
-                  << "  --checkpoint-every-ms N  also checkpoint mid-run every N virtual ms\n"
-                  << "  --watchdog-ms N          abort (with checkpoint) after N virtual ms"
-                     " without progress\n"
-                  << "  --resume FILE            resume a killed run from FILE\n"
-                  << "  --ckpt-kill-after N      test hook: _Exit(137) after the Nth"
-                     " checkpoint write\n";
+                  << "  (trace, metrics and profile outputs capture the first experiment)\n"
+                  << core::DriverFlags::usage();
         std::exit(0);
       }
     }

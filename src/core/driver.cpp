@@ -43,6 +43,31 @@ void DriverFlags::register_on(FlagParser& parser) {
   parser.i32("--ckpt-kill-after", &checkpoint.kill_after);
 }
 
+const char* DriverFlags::usage() {
+  return "campaign and capture:\n"
+         "  --jobs N                 worker threads for multi-run campaigns\n"
+         "                           (default 1 = serial; 0 = hardware concurrency)\n"
+         "  --trace-json FILE        Chrome/Perfetto trace-event export\n"
+         "  --metrics-json FILE      metrics registry snapshot\n"
+         "  --profile-json FILE      energy-attribution profile (docs/PROFILING.md)\n"
+         "  --profile-html FILE      self-contained HTML run report\n"
+         "  --telemetry-period-ms N  sample power/occupancy every N virtual ms\n"
+         "fault injection / resilience (docs/ROBUSTNESS.md):\n"
+         "  --faults SPEC            fault plan: kind@gpuN:key=val,... (';'-separated)\n"
+         "                           or @FILE for a JSON plan\n"
+         "  --fault-seed N           injector RNG seed (default: derived from the run's seed)\n"
+         "  --reconcile-ms N         verify/re-assert cap drift every N virtual ms\n"
+         "  --degrade                fall back to H on cap failure instead of aborting\n"
+         "  --cap-retries N          retry budget per cap write (default 3)\n"
+         "checkpoint/restart (docs/CHECKPOINTING.md):\n"
+         "  --checkpoint FILE        write crash-consistent checkpoints to FILE\n"
+         "  --checkpoint-every-ms N  also checkpoint mid-run every N virtual ms\n"
+         "  --watchdog-ms N          abort with a checkpoint if no task completes\n"
+         "                           for N virtual ms\n"
+         "  --resume FILE            resume a killed/interrupted run from FILE\n"
+         "  --ckpt-kill-after N      test hook: _Exit(137) after the Nth checkpoint write\n";
+}
+
 std::string DriverFlags::validate() const {
   if (jobs < 0) {
     return "--jobs expects a non-negative value, got " + std::to_string(jobs);

@@ -35,6 +35,10 @@ struct DriverFlags {
   /// Registers the shared flags on `parser`, writing into this object.
   void register_on(FlagParser& parser);
 
+  /// Help text of the flags register_on() adds, one line per flag (plus
+  /// continuations), for a driver to print after its own flags.
+  [[nodiscard]] static const char* usage();
+
   /// Empty when the parsed values are consistent, otherwise the error line
   /// a driver prints before exiting 2.
   [[nodiscard]] std::string validate() const;

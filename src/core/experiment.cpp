@@ -1,5 +1,6 @@
 #include "core/experiment.hpp"
 
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -44,8 +45,7 @@ std::string ExperimentConfig::describe() const {
   oss << platform << ' ' << to_string(op) << ' ' << hw::to_string(precision) << " N=" << n
       << " Nt=" << nb << " cfg=" << (gpu_config.size() ? gpu_config.to_string() : "H*");
   if (cpu_cap) {
-    oss << " cpu" << cpu_cap->package << "@" << static_cast<int>(cpu_cap->fraction_of_tdp * 100)
-        << "%";
+    oss << " cpu" << cpu_cap->package << "@" << std::lround(cpu_cap->fraction_of_tdp * 100) << "%";
   }
   if (scheduler != "dmdas") {
     oss << " sched=" << scheduler;
@@ -249,7 +249,11 @@ ExperimentResult run_typed(const ExperimentConfig& config, CheckpointSession* se
 
   ctx.begin_measurement();
 
-  auto submit_all = [&] {
+  // The first run of a shape submits its tasks and seals the graph; with a
+  // campaign cache, every later run instantiates that graph over its own
+  // handles, registered above in the same order. Either way the graph runs
+  // through instantiate(), before the checkpointer schedules its events.
+  auto build = [&] {
     switch (config.op) {
       case Operation::kGemm: la::submit_gemm<T>(runtime, codelets, a, *b, *c); break;
       case Operation::kPotrf: la::submit_potrf<T>(runtime, codelets, a); break;
@@ -257,24 +261,10 @@ ExperimentResult run_typed(const ExperimentConfig& config, CheckpointSession* se
       case Operation::kGeqrf: la::submit_geqrf<T>(runtime, k.qr, a, *workspace); break;
       case Operation::kGelqf: la::submit_gelqf<T>(runtime, k.lq, a, *workspace); break;
     }
+    return runtime.graph();
   };
-  // With a campaign cache, the first run of a shape builds its graph by
-  // submission and shares it; every later run instantiates that graph
-  // over its own handles, registered above in the same order. Either way
-  // the runtime ends up in the same state.
-  if (CalibrationCache* cache = ctx.calibration_cache()) {
-    bool built_here = false;
-    const std::shared_ptr<const rt::TaskGraph>& graph = cache->graph(graph_key(config), [&] {
-      submit_all();
-      built_here = true;
-      return runtime.graph();
-    });
-    if (!built_here) {
-      runtime.instantiate(graph);
-    }
-  } else {
-    submit_all();
-  }
+  CalibrationCache* cache = ctx.calibration_cache();
+  runtime.instantiate(cache != nullptr ? cache->graph(graph_key(config), build) : build());
 
   // -- mid-run checkpoints ------------------------------------------------------
   if (use_checkpointer) {

@@ -11,7 +11,6 @@
 #include <bitset>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "rt/types.hpp"
 
@@ -53,10 +52,6 @@ class DataHandle {
   /// Validity bitmask over memory nodes, for checkpointing. kMaxNodes fits
   /// a u64 by construction.
   [[nodiscard]] std::uint64_t validity_mask() const { return valid_.to_ullong(); }
-
-  // -- implicit-dependency bookkeeping (used by DependencyTracker) --------
-  TaskId last_writer = kInvalidTask;
-  std::vector<TaskId> readers_since_write;
 
  private:
   HandleId id_;

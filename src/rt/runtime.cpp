@@ -105,50 +105,30 @@ TaskId Runtime::submit(TaskDesc desc) {
     throw std::invalid_argument("Runtime::submit: codelet '" + desc.codelet->name +
                                 "' can run nowhere");
   }
-  const TaskId id = static_cast<TaskId>(tasks_.size());
+  if (graph_ != nullptr || (pending_ != nullptr && pending_->sealed())) {
+    throw std::logic_error("Runtime::submit: the task graph is sealed or instantiated");
+  }
+  if (pending_ == nullptr) {
+    pending_ = std::make_shared<TaskGraph>();
+  }
+  TaskGraph& graph = *pending_;
+  const TaskId id = static_cast<TaskId>(graph.size());
   for (TaskId dep : desc.explicit_deps) {
     if (dep < 0 || dep >= id) {
       throw std::invalid_argument("Runtime::submit: explicit dependency " +
                                   std::to_string(dep) + " must reference an earlier task");
     }
   }
-  if (building_ == nullptr) {
-    if (graph_ != nullptr) {
-      throw std::logic_error("Runtime::submit: the task graph is shared or instantiated");
-    }
-    auto graph = std::make_shared<TaskGraph>();
-    building_ = graph.get();
-    graph_ = std::move(graph);
-  }
-  building_->add_task(*desc.codelet, desc.work, desc.priority, std::move(desc.label),
-                      std::move(desc.arg), desc.accesses);
-  const std::uint32_t codelet = building_->codelet_index(id);
-  if (codelet == perf_codelets_.size()) {
-    perf_codelets_.push_back(perf_model_.intern(desc.codelet->name));
-  }
-  Task& task = tasks_.emplace_back(*graph_, handles_);
-  task.perf_codelet = perf_codelets_[codelet];
-  if (m_tasks_submitted_ != nullptr) {
-    m_tasks_submitted_->inc();
-  }
-
-  const auto retired = [this](TaskId pred) {
-    return tasks_[static_cast<std::size_t>(pred)].state == TaskState::kDone;
-  };
-  std::int32_t pending = deps_.register_task(*building_, id, handles_, retired);
+  graph.add_task(*desc.codelet, desc.work, desc.priority, std::move(desc.label),
+                 std::move(desc.arg), desc.accesses);
+  std::int32_t deps = deps_.register_task(graph, id);
   // Explicit (tag-style) dependencies on top of the inferred data edges.
   for (TaskId dep : desc.explicit_deps) {
-    if (deps_.link(*building_, dep, id, /*data=*/false, retired)) {
-      ++pending;
+    if (deps_.link(graph, dep, id, /*data=*/false)) {
+      ++deps;
     }
   }
-
-  building_->set_initial_deps(id, pending);
-  task.unresolved_deps = pending;
-  drained_ = false;  // new work re-arms the drain hooks
-  if (pending == 0) {
-    make_ready(task);
-  }
+  graph.set_initial_deps(id, deps);
   return id;
 }
 
@@ -157,9 +137,12 @@ void Runtime::instantiate(std::shared_ptr<const TaskGraph> graph) {
     throw std::invalid_argument("Runtime::instantiate: null graph");
   }
   if (graph_ != nullptr) {
-    throw std::logic_error("Runtime::instantiate: the runtime already has tasks");
+    throw std::logic_error("Runtime::instantiate: the runtime already runs a graph");
   }
-  if (!graph->folded()) {
+  if (pending_ != nullptr && graph != pending_) {
+    throw std::logic_error("Runtime::instantiate: the runtime has submitted tasks");
+  }
+  if (!graph->sealed()) {
     throw std::invalid_argument("Runtime::instantiate: the graph is not sealed");
   }
   if (graph->handle_bound() > handles_.size()) {
@@ -167,52 +150,48 @@ void Runtime::instantiate(std::shared_ptr<const TaskGraph> graph) {
                                 std::to_string(graph->handle_bound()) + " handles, " +
                                 std::to_string(handles_.size()) + " are registered");
   }
+  pending_ = nullptr;
   graph_ = std::move(graph);
   const TaskGraph& g = *graph_;
+  std::vector<CodeletId> perf_codelets;
+  perf_codelets.reserve(g.codelets().size());
   for (const Codelet* codelet : g.codelets()) {
-    perf_codelets_.push_back(perf_model_.intern(codelet->name));
+    perf_codelets.push_back(perf_model_.intern(codelet->name));
   }
   const std::size_t n = g.size();
   tasks_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    Task& task = tasks_.emplace_back(g, handles_);
     const auto id = static_cast<TaskId>(i);
-    task.perf_codelet = perf_codelets_[g.codelet_index(id)];
+    Task& task = tasks_.emplace_back(g, handles_, id);
+    task.perf_codelet = perf_codelets[g.codelet_index(id)];
     task.unresolved_deps = g.initial_deps(id);
   }
   if (m_tasks_submitted_ != nullptr) {
     m_tasks_submitted_->inc(n);
   }
-  if (n > 0) {
-    drained_ = false;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (tasks_[i].unresolved_deps == 0) {
-      make_ready(tasks_[i]);
+  for (Task& task : tasks_) {
+    if (task.unresolved_deps == 0) {
+      make_ready(task);
     }
   }
 }
 
 std::shared_ptr<const TaskGraph> Runtime::graph() {
-  if (building_ != nullptr) {
-    building_->seal();
-    building_ = nullptr;
+  if (pending_ == nullptr) {
+    return graph_;
   }
-  return graph_;
+  if (!pending_->sealed()) {
+    pending_->seal();
+    deps_ = {};
+  }
+  return pending_;
 }
 
 const Task& Runtime::task(TaskId id) const {
   if (id < 0 || static_cast<std::size_t>(id) >= tasks_.size()) {
     throw std::out_of_range("Runtime::task: no task " + std::to_string(id));
   }
-  fold_edges();
   return tasks_[static_cast<std::size_t>(id)];
-}
-
-void Runtime::fold_edges() const {
-  if (building_ != nullptr) {
-    building_->fold_edges();
-  }
 }
 
 void Runtime::make_ready(Task& task) {
@@ -503,7 +482,6 @@ void Runtime::finish_task(Task& task, Worker& worker) {
     h.queue_wait_s->observe((task.start_time - task.ready_at).sec());
   }
 
-  fold_edges();
   for (const std::uint32_t succ_id : task.successors()) {
     Task& succ = tasks_[succ_id];
     assert(succ.unresolved_deps > 0);
@@ -529,8 +507,7 @@ void Runtime::finish_task(Task& task, Worker& worker) {
   }
   // Same instant, same reason: stop repeating/pending activities that would
   // keep the simulator from going idle (cap reconciliation, timed faults).
-  if (!drained_ && tasks_completed_ == tasks_.size()) {
-    drained_ = true;
+  if (tasks_completed_ == tasks_.size()) {
     for (const auto& hook : drain_hooks_) {
       hook();
     }
@@ -538,6 +515,9 @@ void Runtime::finish_task(Task& task, Worker& worker) {
 }
 
 void Runtime::wait_all() {
+  if (pending_ != nullptr) {
+    instantiate(graph());
+  }
   sim_.run();
   if (options_.log != nullptr) {
     options_.log->logf(sim::LogLevel::kDebug,
@@ -825,7 +805,6 @@ void Runtime::export_capture(prof::RunCapture& capture) const {
     capture.tasks.push_back(std::move(rec));
   }
   // The runtime stores forward edges; the profiler wants predecessors.
-  fold_edges();
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     const Task& task = tasks_[i];
     for (const std::uint32_t succ : task.successors()) {
@@ -869,7 +848,6 @@ std::uint64_t Runtime::structure_digest() const {
     f.u64(h->bytes());
     f.str(h->name());
   }
-  fold_edges();
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     const Task& t = tasks_[i];
     f.str(t.codelet().name);
@@ -937,7 +915,7 @@ RuntimeSnapshot Runtime::snapshot() const {
   s.tasks_completed = tasks_completed_;
   s.flops_completed = flops_completed_;
   s.last_completion_s = last_completion_.sec();
-  s.drained = drained_;
+  s.drained = !tasks_.empty() && tasks_completed_ == tasks_.size();
   s.rng_state = rng_.state();
   s.scheduler = scheduler_->snapshot_state();
   s.perf_history = perf_model_.export_history();

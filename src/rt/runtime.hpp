@@ -2,10 +2,13 @@
 // heterogeneous node.
 //
 // Applications register data handles, submit tasks (codelet + accesses +
-// priority) and wait_all(). The runtime infers dependencies from access
-// modes, hands ready tasks to the configured scheduler, stages data over
-// the PCIe/NVLink models, advances the virtual clock through the
-// discrete-event simulator and drives the device power/energy models.
+// priority) and wait_all(). Submission only builds the runtime's task graph
+// (rt/task_graph.hpp), inferring dependencies from access modes; the graph
+// runs once it is instantiated (instantiate(), which wait_all() calls for a
+// graph still pending). The runtime hands ready tasks to the configured
+// scheduler, stages data over the PCIe/NVLink models, advances the virtual
+// clock through the discrete-event simulator and drives the device
+// power/energy models.
 // Kernels can optionally really execute on the host (execute_kernels),
 // which is how the test suite validates numerics end-to-end.
 #pragma once
@@ -193,27 +196,29 @@ class Runtime final : public SchedulerContext {
 
   // -- tasks -----------------------------------------------------------------
 
-  /// Adds one task to the runtime's own graph, wiring its dependencies,
-  /// and readies it when nothing gates it. Throws std::logic_error once the
-  /// graph was shared (graph()) or the runtime instantiated one.
+  /// Appends one task to the runtime's pending graph and wires its
+  /// dependencies; nothing runs until the graph is instantiated. Throws
+  /// std::logic_error once the graph was sealed (graph()) or the runtime
+  /// instantiated one, so no task is submitted after a run.
   TaskId submit(TaskDesc desc);
 
-  /// Runs `graph` on this runtime, which must have no tasks yet and must
-  /// have registered the handles the graph names, in the same order as
-  /// the runtime that built it. Creates the task states in one allocation,
-  /// interns each codelet once, and replays the readiness the submissions
-  /// produced: tasks without predecessors go to the scheduler in id order.
-  /// That is exactly what submitting the graph's tasks would have done,
-  /// since no simulator event runs during submission.
+  /// Runs `graph` on this runtime: the only place task states are created
+  /// and first readied. `graph` is sealed, and is either this runtime's own
+  /// (graph()) or one built by a runtime that registered the same handles
+  /// in the same order as this one did. Creates every task state in one
+  /// allocation, interns each codelet once, and readies the tasks without
+  /// predecessors in id order. Throws std::logic_error when the runtime
+  /// already instantiated a graph or submitted tasks of another.
   void instantiate(std::shared_ptr<const TaskGraph> graph);
 
-  /// The runtime's task graph, sealed for sharing: after this call,
-  /// submit() throws. Null before any task exists.
+  /// The runtime's task graph: the pending one, sealed for sharing (after
+  /// this call, submit() throws), else the instantiated one. Null before
+  /// any task exists.
   [[nodiscard]] std::shared_ptr<const TaskGraph> graph();
 
-  /// Runs the simulation until every submitted task has completed.
-  /// Throws std::runtime_error on deadlock (tasks stuck with unresolved
-  /// dependencies — indicates an inconsistent DAG).
+  /// Instantiates a pending graph, then runs the simulation until every
+  /// task has completed. Throws std::runtime_error on deadlock (tasks stuck
+  /// with unresolved dependencies — indicates an inconsistent DAG).
   void wait_all();
 
   /// Gathers every handle back to host memory (Chameleon's end-of-routine
@@ -239,8 +244,9 @@ class Runtime final : public SchedulerContext {
   [[nodiscard]] bool all_tasks_done() const { return tasks_completed_ == tasks_.size(); }
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
   [[nodiscard]] const Worker& worker(std::size_t i) const { return workers_.at(i); }
+  /// Instantiated tasks: 0 until the graph is instantiated.
   [[nodiscard]] std::size_t task_count() const { return tasks_.size(); }
-  /// Throws std::out_of_range for an id that names no task.
+  /// Throws std::out_of_range for an id that names no instantiated task.
   [[nodiscard]] const Task& task(TaskId id) const;
 
   /// Ground-truth execution time (device model + launch overhead, no
@@ -267,7 +273,7 @@ class Runtime final : public SchedulerContext {
 
   // -- resilience ------------------------------------------------------------
 
-  /// Registers a callback to run (once per drain) at the instant the last
+  /// Registers a callback to run once, at the instant the last
   /// submitted task retires — before wait_all() returns. Used to stop
   /// repeating activities (cap reconciliation, pending fault events) that
   /// would otherwise keep the simulator from going idle or stretch the
@@ -308,9 +314,6 @@ class Runtime final : public SchedulerContext {
 
  private:
   void build_workers();
-  /// Folds edges submitted since the last fold into the successor lists
-  /// (a no-op for instantiated or sealed graphs).
-  void fold_edges() const;
   void make_ready(Task& task);
   void wake_worker(WorkerId id);
   void wake_all_idle();
@@ -333,24 +336,23 @@ class Runtime final : public SchedulerContext {
 
   std::vector<Worker> workers_;
   HandleTable handles_;
-  /// The graph the tasks run: built by submit() or instantiated.
+  /// The graph submit() builds, until it is instantiated.
+  std::shared_ptr<TaskGraph> pending_;
+  /// Infers pending_'s edges; emptied when pending_ is sealed.
+  DependencyTracker deps_;
+  /// The graph the tasks run, set once by instantiate().
   std::shared_ptr<const TaskGraph> graph_;
-  /// graph_ while submit() may still extend it, else null.
-  TaskGraph* building_ = nullptr;
-  TaskStates tasks_;
-  /// Perf-model id of each of graph_'s codelets, by codelet index.
-  std::vector<CodeletId> perf_codelets_;
+  /// One state per task of graph_, sized once by instantiate().
+  std::vector<Task> tasks_;
   /// Decision-log codelet id by perf-model id, interned at first use.
   static constexpr std::uint32_t kNoDecisionCodelet = ~std::uint32_t{0};
   std::vector<std::uint32_t> decision_codelets_;
-  DependencyTracker deps_;
   /// Per-GPU link availability (index = GPU index).
   std::vector<sim::SimTime> link_free_;
   std::uint64_t tasks_completed_ = 0;
   double flops_completed_ = 0.0;
   sim::SimTime last_completion_;
   std::vector<std::function<void()>> drain_hooks_;
-  bool drained_ = false;
 
   // Cached metric handles (null when options_.metrics is null) so the
   // execution path pays one pointer test, not a map lookup.

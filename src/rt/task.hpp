@@ -2,12 +2,13 @@
 //
 // The graph (rt/task_graph.hpp) holds what a task is; a Task holds what
 // happens to it in one run: its state, dependency countdown, placement and
-// timestamps. Its accessors forward to the graph, and resolve the graph's
-// handle ids through the runtime's handle table.
+// timestamps. Runtime::instantiate creates all of a run's Tasks at once, in
+// one array that never grows, so scheduler queues and workers hold Task*.
+// Its accessors forward to the graph, and resolve the graph's handle ids
+// through the runtime's handle table.
 #pragma once
 
 #include <any>
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -85,55 +86,6 @@ class Task {
   const TaskGraph* graph_;
   const HandleTable* handles_;
   TaskId id_;
-};
-
-/// A runtime's Task array, indexed by TaskId. Tasks never move, so
-/// scheduler queues can hold Task*. An instantiated graph gets one block
-/// sized to it; tasks submitted one by one fill blocks of doubling size.
-class TaskStates {
- public:
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-
-  /// Sizes the first block for exactly `n` tasks; the array must be empty.
-  void reserve(std::size_t n) {
-    if (n == 0) {
-      return;
-    }
-    blocks_.emplace_back().reserve(n);
-    first_ = n;
-  }
-
-  /// Appends the state of task size() of `graph`.
-  Task& emplace_back(const TaskGraph& graph, const HandleTable& handles) {
-    if (blocks_.empty()) {
-      reserve(kFirstBlock);
-    } else if (blocks_.back().size() == blocks_.back().capacity()) {
-      const std::size_t capacity = first_ << blocks_.size();
-      blocks_.emplace_back().reserve(capacity);
-    }
-    const auto id = static_cast<TaskId>(size_++);
-    return blocks_.back().emplace_back(graph, handles, id);
-  }
-
-  [[nodiscard]] Task& operator[](std::size_t i) {
-    if (i < first_) {
-      return blocks_.front()[i];
-    }
-    // Block k holds first_ << k tasks and starts at first_ * (2^k - 1).
-    const auto k = static_cast<std::size_t>(std::bit_width(i / first_ + 1) - 1);
-    return blocks_[k][i - first_ * ((std::size_t{1} << k) - 1)];
-  }
-  [[nodiscard]] const Task& operator[](std::size_t i) const {
-    return const_cast<TaskStates&>(*this)[i];
-  }
-
- private:
-  static constexpr std::size_t kFirstBlock = 64;
-
-  std::vector<std::vector<Task>> blocks_;  ///< each filled within its reserved capacity
-  std::size_t first_ = 0;                  ///< capacity of blocks_[0]
-  std::size_t size_ = 0;
 };
 
 }  // namespace greencap::rt

@@ -56,47 +56,29 @@ TaskId TaskGraph::add_task(const Codelet& codelet, const hw::KernelWork& work,
 }
 
 void TaskGraph::add_edge(TaskId pred, TaskId succ, bool data) {
-  pending_.emplace_back(static_cast<std::uint32_t>(pred), static_cast<std::uint32_t>(succ));
+  edges_.emplace_back(static_cast<std::uint32_t>(pred), static_cast<std::uint32_t>(succ));
   if (data) {
     ++data_edges_;
   }
 }
 
-void TaskGraph::fold_edges() {
-  if (folded()) {
-    return;
-  }
-  // Counting sort by predecessor, stable: the folded lists first, then the
-  // pending edges in the order they were added.
+void TaskGraph::seal() {
+  // Counting sort by predecessor, stable: each list keeps its edges in the
+  // order they were added.
   const std::size_t n = size();
-  const std::size_t old_n = offsets_.empty() ? 0 : offsets_.size() - 1;
-  std::vector<std::uint32_t> offsets(n + 1, 0);
-  for (std::size_t i = 0; i < old_n; ++i) {
-    offsets[i + 1] = offsets_[i + 1] - offsets_[i];
-  }
-  for (const auto& [pred, succ] : pending_) {
-    ++offsets[pred + 1];
+  offsets_.assign(n + 1, 0);
+  for (const auto& [pred, succ] : edges_) {
+    ++offsets_[pred + 1];
   }
   for (std::size_t i = 0; i < n; ++i) {
-    offsets[i + 1] += offsets[i];
+    offsets_[i + 1] += offsets_[i];
   }
-  std::vector<std::uint32_t> successors(offsets[n]);
-  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (std::size_t i = 0; i < old_n; ++i) {
-    for (std::uint32_t e = offsets_[i]; e < offsets_[i + 1]; ++e) {
-      successors[cursor[i]++] = successors_[e];
-    }
+  successors_.resize(edges_.size());
+  std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (const auto& [pred, succ] : edges_) {
+    successors_[cursor[pred]++] = succ;
   }
-  for (const auto& [pred, succ] : pending_) {
-    successors[cursor[pred]++] = succ;
-  }
-  offsets_ = std::move(offsets);
-  successors_ = std::move(successors);
-  pending_ = {};
-}
-
-void TaskGraph::seal() {
-  fold_edges();
+  edges_ = {};
   nodes_.shrink_to_fit();
   codelets_.shrink_to_fit();
   labels_.shrink_to_fit();

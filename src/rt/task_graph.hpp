@@ -8,13 +8,15 @@
 // the DAG runs (state, times, placement) lives in the runtime's per-run
 // Task array (rt/task.hpp).
 //
-// Runtime::submit builds the runtime's own graph one task at a time.
-// Runtime::graph() seals it and hands it out; a sealed graph never changes
-// again, so any number of runtimes, on any threads, can instantiate it
-// (Runtime::instantiate) and run it concurrently. A graph references its
-// codelets, it does not copy them: they must outlive every runtime that
-// runs the graph. Accesses name handles by id, so a runtime that runs a
-// graph must register the same handles in the same order first.
+// Runtime::submit builds the runtime's own graph one task at a time; its
+// edges stay an unsorted list until Runtime::graph() seals the graph, which
+// sorts them into the CSR lists once. A sealed graph never changes again,
+// so any number of runtimes, on any threads, can instantiate it
+// (Runtime::instantiate, the only way a graph runs) and run it
+// concurrently. A graph references its codelets, it does not copy them:
+// they must outlive every runtime that runs the graph. Accesses name
+// handles by id, so a runtime that runs a graph must register the same
+// handles in the same order first.
 #pragma once
 
 #include <any>
@@ -60,10 +62,10 @@ class TaskGraph {
   [[nodiscard]] const std::any& arg(TaskId id) const { return node(id).arg; }
   [[nodiscard]] std::string_view label(TaskId id) const;
   [[nodiscard]] std::span<const GraphAccess> accesses(TaskId id) const;
-  /// Successors in the order their edges were added. Valid once edges
-  /// added since the last fold_edges() are folded in.
+  /// Successors in the order their edges were added. Valid once sealed.
   [[nodiscard]] std::span<const std::uint32_t> successors(TaskId id) const;
-  /// Predecessors still unretired when the task was added.
+  /// Distinct predecessors of the task: its unresolved dependencies when a
+  /// run starts.
   [[nodiscard]] std::int32_t initial_deps(TaskId id) const { return node(id).initial_deps; }
   /// Edges inferred from access modes; explicit edges are not counted.
   [[nodiscard]] std::uint64_t data_edge_count() const { return data_edges_; }
@@ -80,11 +82,10 @@ class TaskGraph {
   /// access modes. The caller rules out duplicates.
   void add_edge(TaskId pred, TaskId succ, bool data);
   void set_initial_deps(TaskId id, std::int32_t deps) { nodes_[index(id)].initial_deps = deps; }
-  [[nodiscard]] bool folded() const { return pending_.empty() && offsets_.size() == size() + 1; }
-  /// Folds the edges added since the last call into the CSR lists.
-  void fold_edges();
-  /// Folds pending edges and drops spare capacity: call once the last
-  /// task is in, before the graph is shared.
+  [[nodiscard]] bool sealed() const { return !offsets_.empty(); }
+  /// Sorts the edges into the CSR lists and drops spare capacity: call
+  /// once, after the last task is in and before anything reads
+  /// successors.
   void seal();
 
  private:
@@ -107,7 +108,7 @@ class TaskGraph {
   std::vector<GraphAccess> accesses_;
   std::vector<std::uint32_t> offsets_;  ///< CSR: successors of i at [offsets_[i], offsets_[i+1])
   std::vector<std::uint32_t> successors_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pending_;  ///< unfolded (pred, succ)
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges_;  ///< (pred, succ) until sealed
   std::uint64_t data_edges_ = 0;
   std::uint32_t handle_bound_ = 0;
 };

@@ -79,6 +79,12 @@ TEST(Experiment, DescribeMentionsKeyFields) {
   EXPECT_NE(desc.find("GEMM"), std::string::npos);
   EXPECT_NE(desc.find("HHHH"), std::string::npos);
   EXPECT_NE(desc.find("cpu1@48%"), std::string::npos);
+  // The percent is rounded: 0.57 * 100 and 0.29 * 100 land just below 57
+  // and 29 in binary.
+  cfg.cpu_cap = CpuCap{1, 0.57};
+  EXPECT_NE(cfg.describe().find("cpu1@57%"), std::string::npos) << cfg.describe();
+  cfg.cpu_cap = CpuCap{0, 0.29};
+  EXPECT_NE(cfg.describe().find("cpu0@29%"), std::string::npos) << cfg.describe();
 }
 
 TEST(Experiment, OperationFlops) {

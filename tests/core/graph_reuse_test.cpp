@@ -215,12 +215,15 @@ TEST(GraphReuseContract, MisuseIsRejected) {
   rt::TaskDesc more;
   more.codelet = &codelets.potrf();
   EXPECT_THROW(builder.submit(std::move(more)), std::logic_error);
-  // Instantiating needs the graph's handles, and a runtime without tasks.
+  // Instantiating needs the graph's handles.
   hw::Platform platform2{hw::presets::platform_24_intel_2_v100()};
   sim::Simulator sim2;
   rt::Runtime bare{platform2, sim2};
   EXPECT_THROW(bare.instantiate(graph), std::invalid_argument);
   EXPECT_EQ(bare.task_count(), 0u);
+  // The builder runs its own graph, as a cache miss does, but only once.
+  EXPECT_NO_THROW(builder.instantiate(graph));
+  EXPECT_EQ(builder.task_count(), graph->size());
   EXPECT_THROW(builder.instantiate(graph), std::logic_error);
 }
 

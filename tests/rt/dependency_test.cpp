@@ -1,14 +1,17 @@
 // DependencyTracker unit tests, exercised through a minimal harness that
 // mimics what Runtime::submit does (without any execution): tasks go into
-// a TaskGraph, their states into a TaskStates array.
+// a TaskGraph, and reading successors seals it, as Runtime::graph() does.
 #include "rt/dependencies.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "rt/codelet.hpp"
+#include "rt/data_handle.hpp"
 
 namespace greencap::rt {
 namespace {
@@ -26,21 +29,19 @@ class DepHarness {
     return handles_.back().get();
   }
 
-  Task& submit(const std::vector<TaskAccess>& accesses) {
+  TaskId submit(const std::vector<TaskAccess>& accesses) {
     const TaskId id = graph_.add_task(codelet_, hw::KernelWork{}, 0, {}, {}, accesses);
-    Task& t = tasks_.emplace_back(graph_, handles_);
-    t.unresolved_deps = tracker_.register_task(graph_, id, handles_, [this](TaskId pred) {
-      return tasks_[static_cast<std::size_t>(pred)].state == TaskState::kDone;
-    });
-    graph_.fold_edges();
-    return t;
+    graph_.set_initial_deps(id, tracker_.register_task(graph_, id));
+    return id;
   }
 
-  void complete(Task& t) {
-    t.state = TaskState::kDone;
-    for (const std::uint32_t succ : t.successors()) {
-      --tasks_[succ].unresolved_deps;
+  [[nodiscard]] std::int32_t deps(TaskId id) const { return graph_.initial_deps(id); }
+
+  [[nodiscard]] std::span<const std::uint32_t> successors(TaskId id) {
+    if (!graph_.sealed()) {
+      graph_.seal();
     }
+    return graph_.successors(id);
   }
 
   [[nodiscard]] std::uint64_t edges() const { return graph_.data_edge_count(); }
@@ -48,86 +49,76 @@ class DepHarness {
  private:
   Codelet codelet_;
   DependencyTracker tracker_;
-  HandleTable handles_;
+  std::vector<std::unique_ptr<DataHandle>> handles_;
   TaskGraph graph_;
-  TaskStates tasks_;
 };
 
 TEST(Dependencies, IndependentTasksHaveNoDeps) {
   DepHarness h;
   auto* a = h.data();
   auto* b = h.data();
-  Task& t1 = h.submit({{a, AccessMode::kWrite}});
-  Task& t2 = h.submit({{b, AccessMode::kWrite}});
-  EXPECT_EQ(t1.unresolved_deps, 0);
-  EXPECT_EQ(t2.unresolved_deps, 0);
+  const TaskId t1 = h.submit({{a, AccessMode::kWrite}});
+  const TaskId t2 = h.submit({{b, AccessMode::kWrite}});
+  EXPECT_EQ(h.deps(t1), 0);
+  EXPECT_EQ(h.deps(t2), 0);
   EXPECT_EQ(h.edges(), 0u);
 }
 
 TEST(Dependencies, ReadAfterWrite) {
   DepHarness h;
   auto* a = h.data();
-  Task& writer = h.submit({{a, AccessMode::kWrite}});
-  Task& reader = h.submit({{a, AccessMode::kRead}});
-  EXPECT_EQ(reader.unresolved_deps, 1);
-  ASSERT_EQ(writer.successors().size(), 1u);
-  EXPECT_EQ(writer.successors()[0], reader.id());
+  const TaskId writer = h.submit({{a, AccessMode::kWrite}});
+  const TaskId reader = h.submit({{a, AccessMode::kRead}});
+  EXPECT_EQ(h.deps(reader), 1);
+  ASSERT_EQ(h.successors(writer).size(), 1u);
+  EXPECT_EQ(h.successors(writer)[0], static_cast<std::uint32_t>(reader));
 }
 
 TEST(Dependencies, ConcurrentReadsCommute) {
   DepHarness h;
   auto* a = h.data();
   h.submit({{a, AccessMode::kWrite}});
-  Task& r1 = h.submit({{a, AccessMode::kRead}});
-  Task& r2 = h.submit({{a, AccessMode::kRead}});
-  Task& r3 = h.submit({{a, AccessMode::kRead}});
-  EXPECT_EQ(r1.unresolved_deps, 1);
-  EXPECT_EQ(r2.unresolved_deps, 1);
-  EXPECT_EQ(r3.unresolved_deps, 1);
-  EXPECT_TRUE(r1.successors().empty());
-  EXPECT_TRUE(r2.successors().empty());
+  const TaskId r1 = h.submit({{a, AccessMode::kRead}});
+  const TaskId r2 = h.submit({{a, AccessMode::kRead}});
+  const TaskId r3 = h.submit({{a, AccessMode::kRead}});
+  EXPECT_EQ(h.deps(r1), 1);
+  EXPECT_EQ(h.deps(r2), 1);
+  EXPECT_EQ(h.deps(r3), 1);
+  EXPECT_TRUE(h.successors(r1).empty());
+  EXPECT_TRUE(h.successors(r2).empty());
 }
 
 TEST(Dependencies, WriteAfterRead) {
   DepHarness h;
   auto* a = h.data();
   h.submit({{a, AccessMode::kWrite}});
-  Task& r1 = h.submit({{a, AccessMode::kRead}});
-  Task& r2 = h.submit({{a, AccessMode::kRead}});
-  Task& w2 = h.submit({{a, AccessMode::kWrite}});
+  const TaskId r1 = h.submit({{a, AccessMode::kRead}});
+  const TaskId r2 = h.submit({{a, AccessMode::kRead}});
+  const TaskId w2 = h.submit({{a, AccessMode::kWrite}});
   // w2 waits on both readers AND the previous writer.
-  EXPECT_EQ(w2.unresolved_deps, 3);
-  EXPECT_EQ(r1.successors().size(), 1u);
-  EXPECT_EQ(r2.successors().size(), 1u);
+  EXPECT_EQ(h.deps(w2), 3);
+  EXPECT_EQ(h.successors(r1).size(), 1u);
+  EXPECT_EQ(h.successors(r2).size(), 1u);
 }
 
 TEST(Dependencies, WriteAfterWrite) {
   DepHarness h;
   auto* a = h.data();
-  Task& w1 = h.submit({{a, AccessMode::kWrite}});
-  Task& w2 = h.submit({{a, AccessMode::kWrite}});
-  EXPECT_EQ(w2.unresolved_deps, 1);
-  EXPECT_EQ(w1.successors()[0], w2.id());
+  const TaskId w1 = h.submit({{a, AccessMode::kWrite}});
+  const TaskId w2 = h.submit({{a, AccessMode::kWrite}});
+  EXPECT_EQ(h.deps(w2), 1);
+  EXPECT_EQ(h.successors(w1)[0], static_cast<std::uint32_t>(w2));
 }
 
 TEST(Dependencies, ReadWriteChainsSerialize) {
   DepHarness h;
   auto* a = h.data();
-  Task& t1 = h.submit({{a, AccessMode::kReadWrite}});
-  Task& t2 = h.submit({{a, AccessMode::kReadWrite}});
-  Task& t3 = h.submit({{a, AccessMode::kReadWrite}});
-  EXPECT_EQ(t1.unresolved_deps, 0);
-  EXPECT_EQ(t2.unresolved_deps, 1);
-  EXPECT_EQ(t3.unresolved_deps, 1);
-}
-
-TEST(Dependencies, CompletedPredecessorsAreSkipped) {
-  DepHarness h;
-  auto* a = h.data();
-  Task& w = h.submit({{a, AccessMode::kWrite}});
-  h.complete(w);
-  Task& r = h.submit({{a, AccessMode::kRead}});
-  EXPECT_EQ(r.unresolved_deps, 0);
+  const TaskId t1 = h.submit({{a, AccessMode::kReadWrite}});
+  const TaskId t2 = h.submit({{a, AccessMode::kReadWrite}});
+  const TaskId t3 = h.submit({{a, AccessMode::kReadWrite}});
+  EXPECT_EQ(h.deps(t1), 0);
+  EXPECT_EQ(h.deps(t2), 1);
+  EXPECT_EQ(h.deps(t3), 1);
 }
 
 TEST(Dependencies, DuplicateEdgesCollapse) {
@@ -135,10 +126,10 @@ TEST(Dependencies, DuplicateEdgesCollapse) {
   auto* a = h.data();
   auto* b = h.data();
   // Writer touches both handles; the reader reads both -> only one edge.
-  Task& w = h.submit({{a, AccessMode::kWrite}, {b, AccessMode::kWrite}});
-  Task& r = h.submit({{a, AccessMode::kRead}, {b, AccessMode::kRead}});
-  EXPECT_EQ(r.unresolved_deps, 1);
-  EXPECT_EQ(w.successors().size(), 1u);
+  const TaskId w = h.submit({{a, AccessMode::kWrite}, {b, AccessMode::kWrite}});
+  const TaskId r = h.submit({{a, AccessMode::kRead}, {b, AccessMode::kRead}});
+  EXPECT_EQ(h.deps(r), 1);
+  EXPECT_EQ(h.successors(w).size(), 1u);
 }
 
 TEST(Dependencies, DiamondPattern) {
@@ -146,21 +137,21 @@ TEST(Dependencies, DiamondPattern) {
   auto* a = h.data();
   auto* left = h.data();
   auto* right = h.data();
-  Task& top = h.submit({{a, AccessMode::kWrite}});
-  Task& l = h.submit({{a, AccessMode::kRead}, {left, AccessMode::kWrite}});
-  Task& r = h.submit({{a, AccessMode::kRead}, {right, AccessMode::kWrite}});
-  Task& bottom = h.submit({{left, AccessMode::kRead}, {right, AccessMode::kRead}});
-  EXPECT_EQ(top.successors().size(), 2u);
-  EXPECT_EQ(l.unresolved_deps, 1);
-  EXPECT_EQ(r.unresolved_deps, 1);
-  EXPECT_EQ(bottom.unresolved_deps, 2);
+  const TaskId top = h.submit({{a, AccessMode::kWrite}});
+  const TaskId l = h.submit({{a, AccessMode::kRead}, {left, AccessMode::kWrite}});
+  const TaskId r = h.submit({{a, AccessMode::kRead}, {right, AccessMode::kWrite}});
+  const TaskId bottom = h.submit({{left, AccessMode::kRead}, {right, AccessMode::kRead}});
+  EXPECT_EQ(h.successors(top).size(), 2u);
+  EXPECT_EQ(h.deps(l), 1);
+  EXPECT_EQ(h.deps(r), 1);
+  EXPECT_EQ(h.deps(bottom), 2);
 }
 
 TEST(Dependencies, SelfAccessDoesNotSelfDepend) {
   DepHarness h;
   auto* a = h.data();
-  Task& t = h.submit({{a, AccessMode::kRead}, {a, AccessMode::kWrite}});
-  EXPECT_EQ(t.unresolved_deps, 0);
+  const TaskId t = h.submit({{a, AccessMode::kRead}, {a, AccessMode::kWrite}});
+  EXPECT_EQ(h.deps(t), 0);
 }
 
 TEST(Dependencies, EdgeCountAccumulates) {

@@ -122,25 +122,6 @@ TEST_F(FeaturesTest, ExplicitDepsValidateIds) {
   EXPECT_THROW(rt.submit(std::move(negative)), std::invalid_argument);
 }
 
-TEST_F(FeaturesTest, ExplicitDepOnCompletedTaskIsFree) {
-  Runtime rt{platform_, sim_, RuntimeOptions{}};
-  Codelet noop;
-  noop.name = "noop";
-  noop.klass = hw::KernelClass::kGemm;
-  noop.where = kWhereCuda;
-  TaskDesc d0;
-  d0.codelet = &noop;
-  d0.work = work_;
-  const TaskId t0 = rt.submit(std::move(d0));
-  rt.wait_all();  // t0 retires
-  TaskDesc d1;
-  d1.codelet = &noop;
-  d1.work = work_;
-  d1.explicit_deps = {t0};
-  rt.submit(std::move(d1));
-  EXPECT_NO_THROW(rt.wait_all());
-}
-
 TEST_F(FeaturesTest, ExplicitDepDuplicatesCollapse) {
   Runtime rt{platform_, sim_, RuntimeOptions{}};
   Codelet noop;
@@ -161,7 +142,7 @@ TEST_F(FeaturesTest, ExplicitDepDuplicatesCollapse) {
   d1.accesses = {{h, AccessMode::kRead}};
   d1.explicit_deps = {t0, t0};
   const TaskId t1 = rt.submit(std::move(d1));
-  EXPECT_EQ(rt.task(t1).unresolved_deps, 1);
+  EXPECT_EQ(rt.graph()->initial_deps(t1), 1);
   rt.wait_all();
 }
 

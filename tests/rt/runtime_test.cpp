@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "hw/presets.hpp"
 #include "la/flops.hpp"
+#include "la/operations.hpp"
+#include "obs/decision_log.hpp"
 
 namespace greencap::rt {
 namespace {
@@ -378,6 +386,84 @@ TEST_F(RuntimeTest, EverySchedulerCompletesTheDag) {
     EXPECT_NO_THROW(rt.wait_all()) << sched;
     EXPECT_EQ(rt.stats().tasks_completed, 25u) << sched;
   }
+}
+
+/// What one traced, logged POTRF run leaves behind.
+struct PotrfRun {
+  RuntimeStats stats;
+  std::vector<sim::Span> spans;
+  std::string decisions;
+};
+
+/// Submits a 6x6-tile POTRF and runs it: through wait_all() alone, or by
+/// sealing the graph with graph() and instantiating it first.
+PotrfRun run_potrf(bool explicit_instantiate) {
+  static const la::Codelets<double> codelets;
+  hw::Platform platform{hw::presets::platform_32_amd_4_a100()};
+  sim::Simulator sim;
+  obs::DecisionLog log;
+  RuntimeOptions opts;
+  opts.enable_trace = true;
+  opts.decision_log = &log;
+  Runtime rt{platform, sim, opts};
+  la::TileMatrix<double> a{6 * 960, 960, /*allocate=*/false};
+  a.register_with(rt);
+  la::submit_potrf<double>(rt, codelets, a);
+  if (explicit_instantiate) {
+    rt.instantiate(rt.graph());
+  }
+  rt.wait_all();
+  PotrfRun run{rt.stats(), rt.trace().spans(), {}};
+  std::ostringstream os;
+  log.write_json(os);
+  run.decisions = os.str();
+  return run;
+}
+
+TEST_F(RuntimeTest, WaitAllInstantiatesLikeAnExplicitInstantiate) {
+  const PotrfRun implicit = run_potrf(false);
+  const PotrfRun explicit_run = run_potrf(true);
+  EXPECT_EQ(implicit.stats.tasks_submitted, 56u);
+  EXPECT_EQ(implicit.stats.tasks_completed, explicit_run.stats.tasks_completed);
+  EXPECT_EQ(implicit.stats.dependency_edges, explicit_run.stats.dependency_edges);
+  EXPECT_EQ(implicit.stats.makespan, explicit_run.stats.makespan);
+  EXPECT_EQ(implicit.stats.total_bytes_transferred, explicit_run.stats.total_bytes_transferred);
+  ASSERT_EQ(implicit.stats.per_worker.size(), explicit_run.stats.per_worker.size());
+  for (std::size_t i = 0; i < implicit.stats.per_worker.size(); ++i) {
+    EXPECT_EQ(implicit.stats.per_worker[i].tasks, explicit_run.stats.per_worker[i].tasks);
+    EXPECT_EQ(implicit.stats.per_worker[i].busy_fraction,
+              explicit_run.stats.per_worker[i].busy_fraction);
+  }
+  ASSERT_EQ(implicit.spans.size(), explicit_run.spans.size());
+  for (std::size_t i = 0; i < implicit.spans.size(); ++i) {
+    const sim::Span& x = implicit.spans[i];
+    const sim::Span& y = explicit_run.spans[i];
+    EXPECT_EQ(x.kind, y.kind);
+    EXPECT_EQ(x.resource, y.resource);
+    EXPECT_EQ(x.object, y.object);
+    EXPECT_EQ(x.name, y.name);
+    EXPECT_EQ(x.begin, y.begin);
+    EXPECT_EQ(x.end, y.end);
+  }
+  EXPECT_FALSE(implicit.decisions.empty());
+  EXPECT_EQ(implicit.decisions, explicit_run.decisions);
+}
+
+TEST_F(RuntimeTest, NoSubmissionAfterARunAndOneInstantiatePerRuntime) {
+  Runtime rt = make_runtime();
+  TaskDesc first;
+  first.codelet = &noop_;
+  first.work = gemm_work(960);
+  const TaskId t0 = rt.submit(std::move(first));
+  rt.wait_all();
+  EXPECT_EQ(rt.task(t0).state, TaskState::kDone);
+  TaskDesc late;
+  late.codelet = &noop_;
+  late.work = gemm_work(960);
+  late.explicit_deps = {t0};
+  EXPECT_THROW(rt.submit(std::move(late)), std::logic_error);
+  EXPECT_THROW(rt.instantiate(rt.graph()), std::logic_error);
+  EXPECT_EQ(rt.task_count(), 1u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 #include <memory>
 
@@ -73,8 +74,8 @@ class SchedulerTest : public ::testing::Test {
   }
 
   Task& make_task(const Codelet& cl, std::int64_t priority = 0) {
-    graph_.add_task(cl, hw::KernelWork{}, priority, {}, {}, {});
-    Task& task = tasks_.emplace_back(graph_, handles_);
+    const TaskId id = graph_.add_task(cl, hw::KernelWork{}, priority, {}, {}, {});
+    Task& task = tasks_.emplace_back(graph_, handles_, id);
     task.state = TaskState::kReady;
     return task;
   }
@@ -83,7 +84,7 @@ class SchedulerTest : public ::testing::Test {
   Codelet any_, cuda_only_, cpu_only_;
   TaskGraph graph_;
   HandleTable handles_;
-  TaskStates tasks_;
+  std::deque<Task> tasks_;  ///< grows without moving its elements
 };
 
 // -- factory ------------------------------------------------------------------

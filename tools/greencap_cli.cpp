@@ -50,34 +50,14 @@ namespace {
       "  --baseline          also run all-H and print deltas\n"
       "  --stale-models      maladaptation ablation (no recalibration)\n"
       "  --seed N            RNG seed (default 42)\n"
-      "  --jobs N            worker threads for multi-run campaigns\n"
-      "                      (default 1 = serial; 0 = hardware concurrency)\n"
-      "observability:\n"
-      "  --trace-json FILE        Chrome/Perfetto trace-event export\n"
-      "  --metrics-json FILE      metrics registry snapshot\n"
-      "  --telemetry-period-ms N  sample power/occupancy every N virtual ms\n"
+      "outputs:\n"
       "  --telemetry-json FILE    telemetry series as JSON\n"
       "  --telemetry-csv FILE     telemetry series as CSV\n"
       "  --decisions-json FILE    scheduler decision log\n"
       "  --model-report           print perf-model accuracy per codelet/arch\n"
-      "  --profile-json FILE      energy-attribution profile (docs/PROFILING.md)\n"
-      "  --profile-html FILE      self-contained HTML run report\n"
-      "fault injection / resilience (docs/ROBUSTNESS.md):\n"
-      "  --faults SPEC            fault plan: kind@gpuN:key=val,... (';'-separated)\n"
-      "                           or @FILE for a JSON plan\n"
-      "  --fault-seed N           injector RNG seed (default: derived from --seed)\n"
-      "  --reconcile-ms N         verify/re-assert cap drift every N virtual ms\n"
-      "  --degrade                fall back to H on cap failure instead of aborting\n"
-      "  --cap-retries N          retry budget per cap write (default 3)\n"
       "  --degradation-json FILE  degradation report export\n"
-      "checkpoint/restart (docs/CHECKPOINTING.md):\n"
-      "  --checkpoint FILE        write crash-consistent checkpoints to FILE\n"
-      "  --checkpoint-every-ms N  also checkpoint mid-run every N virtual ms\n"
-      "  --watchdog-ms N          abort-with-checkpoint if no task completes\n"
-      "                           for N virtual ms\n"
-      "  --resume FILE            resume a killed/interrupted run from FILE\n"
-      "  --ckpt-kill-after N      test hook: _Exit(137) after the Nth write\n",
-      argv0, rt::kSchedulerNames);
+      "%s",
+      argv0, rt::kSchedulerNames, core::DriverFlags::usage());
   std::exit(code);
 }
 
